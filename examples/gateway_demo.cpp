@@ -70,7 +70,6 @@ int main() {
   // --- Monitor process: installs a rule, subscribes, long-polls. ----------
   auto monitor = std::move(
       Connection::Dial("127.0.0.1", server.port())).value();
-  std::printf("monitor: speaking protocol v%u\n", monitor->protocol_version());
   monitor->Ping().ok();
 
   net::CreateRuleMsg rule;

@@ -57,68 +57,18 @@ Result<std::unique_ptr<Connection>> Connection::Dial(const std::string& host,
                                                      ClientOptions options) {
   SENTINEL_ASSIGN_OR_RETURN(int fd, DialSocket(host, port));
   std::unique_ptr<Connection> conn(new Connection(fd));
-  if (!options.negotiate) return conn;
-
-  bool negotiated = false;
-  Status s = conn->Negotiate(options, &negotiated);
-  if (s.ok() && negotiated) return conn;
-  if (s.ok()) {
-    // Pre-Hello server: it answered the Hello with an error StatusReply.
-    // The connection survives, but its framing state is suspect (some
-    // servers drop after a protocol error) — redial plain and speak v1.
-    // This is the new-client / old-server path.
-    conn.reset();
-    SENTINEL_ASSIGN_OR_RETURN(fd, DialSocket(host, port));
-    return std::unique_ptr<Connection>(new Connection(fd));
-  }
-  if (s.IsIOError()) {
-    // Hard close on Hello: same story, older server.
-    conn.reset();
-    SENTINEL_ASSIGN_OR_RETURN(fd, DialSocket(host, port));
-    return std::unique_ptr<Connection>(new Connection(fd));
-  }
-  return s;  // Real negotiation failure (e.g. incompatible version range).
+  SENTINEL_RETURN_IF_ERROR(conn->Hello(options));
+  return conn;
 }
 
-Status Connection::Negotiate(const ClientOptions& options, bool* negotiated) {
-  *negotiated = false;
+Status Connection::Hello(const ClientOptions& options) {
   HelloMsg hello;
-  hello.min_version = options.min_version;
-  hello.max_version = options.max_version;
   hello.tenant = options.tenant;
   Encoder enc;
   hello.Encode(&enc);
   Frame reply;
-  // The Hello itself always travels with a version-0 header: the server's
-  // version is unknown until it answers.
   SENTINEL_RETURN_IF_ERROR(Call(FrameType::kHello, enc.buffer(), &reply));
-  if (reply.type == FrameType::kStatusReply) {
-    SENTINEL_ASSIGN_OR_RETURN(StatusReplyMsg msg,
-                              StatusReplyMsg::Decode(reply.body));
-    Status s = msg.ToStatus();
-    if (s.IsInvalidArgument() && options.min_version > kProtocolV1) {
-      // The server understood the Hello and rejected the range — that is a
-      // genuine incompatibility, not an old server.
-      return s;
-    }
-    return Status::OK();  // Old server; *negotiated stays false.
-  }
-  if (reply.type != FrameType::kHelloReply) {
-    return Status::Internal("expected HelloReply");
-  }
-  SENTINEL_ASSIGN_OR_RETURN(HelloReplyMsg msg,
-                            HelloReplyMsg::Decode(reply.body));
-  if (msg.version < options.min_version ||
-      msg.version > options.max_version) {
-    return Status::Internal("server negotiated version " +
-                            std::to_string(msg.version) +
-                            " outside the offered range");
-  }
-  version_ = msg.version;
-  server_max_frame_body_ = msg.max_frame_body;
-  server_ = msg.server;
-  *negotiated = true;
-  return Status::OK();
+  return ExpectStatusReply(reply, nullptr);
 }
 
 Connection::~Connection() {
@@ -141,7 +91,7 @@ Status Connection::SendRaw(const std::string& bytes) {
 
 Status Connection::SendFrame(FrameType type, const std::string& body) {
   std::string wire;
-  EncodeFrame(type, body, &wire, wire_version());
+  EncodeFrame(type, body, &wire);
   return SendRaw(wire);
 }
 
@@ -250,19 +200,9 @@ Result<std::string> Connection::GetStats(uint32_t sections) {
   return std::move(stats.json);
 }
 
-// --- Publisher ---------------------------------------------------------------
+// --- Acks --------------------------------------------------------------------
 
-Publisher::Publisher(Connection* connection, size_t window)
-    : conn_(connection), window_(window == 0 ? 1 : window) {}
-
-void Publisher::Backoff(uint32_t* backoff_ms) {
-  std::this_thread::sleep_for(std::chrono::milliseconds(*backoff_ms));
-  *backoff_ms = std::min(*backoff_ms * 2, retry_policy_.max_backoff_ms);
-}
-
-Status Publisher::ReadAcks(std::vector<Ack>* out) {
-  Frame reply;
-  SENTINEL_RETURN_IF_ERROR(conn_->ReadFrame(&reply));
+Status ExpandAckFrame(const Frame& reply, std::vector<Ack>* out) {
   if (reply.type == FrameType::kStatusReply) {
     SENTINEL_ASSIGN_OR_RETURN(StatusReplyMsg msg,
                               StatusReplyMsg::Decode(reply.body));
@@ -276,7 +216,6 @@ Status Publisher::ReadAcks(std::vector<Ack>* out) {
       StatusReplyMsg one;
       one.code = run.code;
       one.message = run.message;
-      one.payload = run.payload;
       Status s = one.ToStatus();
       for (uint32_t i = 0; i < run.count; ++i) {
         out->push_back(Ack{s, run.payload});
@@ -286,6 +225,22 @@ Status Publisher::ReadAcks(std::vector<Ack>* out) {
   }
   return Status::Internal("expected an ack frame, got type " +
                           std::to_string(static_cast<int>(reply.type)));
+}
+
+// --- Publisher ---------------------------------------------------------------
+
+Publisher::Publisher(Connection* connection, size_t window)
+    : conn_(connection), window_(window == 0 ? 1 : window) {}
+
+void Publisher::Backoff(uint32_t* backoff_ms) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(*backoff_ms));
+  *backoff_ms = std::min(*backoff_ms * 2, retry_policy_.max_backoff_ms);
+}
+
+Status Publisher::ReadAcks(std::vector<Ack>* out) {
+  Frame reply;
+  SENTINEL_RETURN_IF_ERROR(conn_->ReadFrame(&reply));
+  return ExpandAckFrame(reply, out);
 }
 
 Status Publisher::SendWindowed(
@@ -312,7 +267,7 @@ Status Publisher::SendWindowed(
       for (; sent < burst_end; ++sent) {
         Encoder enc;
         pending[sent]->Encode(&enc);
-        conn_->EncodeFrameTo(FrameType::kRaiseEvent, enc.buffer(), &wire);
+        EncodeFrame(FrameType::kRaiseEvent, enc.buffer(), &wire);
       }
       SENTINEL_RETURN_IF_ERROR(conn_->SendRaw(wire));
     }
@@ -510,40 +465,6 @@ Result<std::vector<Notification>> Subscriber::HistoryScanAll(
 
 // --- LocalPublisher ----------------------------------------------------------
 
-namespace {
-
-/// Expands one reply frame into per-request (status, payload) acks —
-/// kStatusReply is one ack, kBatchStatusReply one per run count. The shm
-/// and TCP paths share ack semantics by construction: both decode the
-/// same frames.
-Status ExpandAckFrame(const Frame& reply,
-                      std::vector<std::pair<Status, uint64_t>>* out) {
-  if (reply.type == FrameType::kStatusReply) {
-    SENTINEL_ASSIGN_OR_RETURN(StatusReplyMsg msg,
-                              StatusReplyMsg::Decode(reply.body));
-    out->emplace_back(msg.ToStatus(), msg.payload);
-    return Status::OK();
-  }
-  if (reply.type == FrameType::kBatchStatusReply) {
-    SENTINEL_ASSIGN_OR_RETURN(BatchStatusReplyMsg batch,
-                              BatchStatusReplyMsg::Decode(reply.body));
-    for (const BatchStatusReplyMsg::Run& run : batch.runs) {
-      StatusReplyMsg one;
-      one.code = run.code;
-      one.message = run.message;
-      Status s = one.ToStatus();
-      for (uint32_t i = 0; i < run.count; ++i) {
-        out->emplace_back(s, run.payload);
-      }
-    }
-    return Status::OK();
-  }
-  return Status::Internal("expected an ack frame, got type " +
-                          std::to_string(static_cast<int>(reply.type)));
-}
-
-}  // namespace
-
 Result<std::unique_ptr<LocalPublisher>> LocalPublisher::Open(
     Options options) {
   auto pub = std::unique_ptr<LocalPublisher>(new LocalPublisher());
@@ -605,7 +526,7 @@ Status LocalPublisher::RaisePipelinedShmInternal(
   uint64_t rejected_count = 0;
   std::string wire;
   Encoder enc;  // Reused across the window loop: no per-raise allocation.
-  std::vector<std::pair<Status, uint64_t>> acks;
+  std::vector<Ack> acks;
   const auto ack_timeout = std::chrono::milliseconds(ack_timeout_ms_);
   while (acked < msgs.size()) {
     // Fill the window. A full job ring is not an error — the host is
@@ -615,7 +536,7 @@ Status LocalPublisher::RaisePipelinedShmInternal(
       wire.clear();
       enc.Clear();
       msgs[sent].Encode(&enc);
-      EncodeFrame(FrameType::kRaiseEvent, enc.buffer(), &wire, kProtocolV2);
+      EncodeFrame(FrameType::kRaiseEvent, enc.buffer(), &wire);
       Status s = shm_->PushFrame(wire);
       if (s.IsResourceExhausted()) {
         ring_full = true;
@@ -652,15 +573,6 @@ Status LocalPublisher::RaisePipelinedShmInternal(
   }
   if (rejected != nullptr) *rejected = rejected_count;
   return first_error;
-}
-
-// --- GatewayClient (deprecated facade) ---------------------------------------
-
-Result<std::unique_ptr<GatewayClient>> GatewayClient::Connect(
-    const std::string& host, uint16_t port, ClientOptions options) {
-  SENTINEL_ASSIGN_OR_RETURN(std::unique_ptr<Connection> conn,
-                            Connection::Dial(host, port, options));
-  return std::unique_ptr<GatewayClient>(new GatewayClient(std::move(conn)));
 }
 
 }  // namespace net

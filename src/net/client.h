@@ -2,9 +2,9 @@
 //
 // Client library for the Sentinel event gateway, split by role:
 //
-//   * Connection — one TCP connection: dialing, Hello-time protocol
-//     negotiation, framing, and the unary control-plane calls (ping, rule
-//     management, stats). Not thread safe; one instance per thread.
+//   * Connection — one TCP connection: dialing and the Hello that opens it,
+//     framing, and the unary control-plane calls (ping, rule management,
+//     stats). Not thread safe; one instance per thread.
 //   * Publisher — the producer role layered on a Connection: single raises
 //     with retry, and windowed pipelined raises that keep a bounded number
 //     of frames in flight while expanding the server's coalesced
@@ -15,8 +15,7 @@
 // Producers and consumers typically use separate connections so a
 // consumer's long-poll never blocks a producer's raises — mirroring the
 // paper's separation of the synchronous call interface from asynchronous
-// event propagation. GatewayClient below bundles all three behind the
-// pre-redesign monolithic API; new code should hold the pieces directly.
+// event propagation.
 
 #ifndef SENTINEL_NET_CLIENT_H_
 #define SENTINEL_NET_CLIENT_H_
@@ -49,23 +48,28 @@ struct RetryPolicy {
 
 /// Dial-time options.
 struct ClientOptions {
-  /// Open with a Hello exchange. When the server predates Hello (it
-  /// answers with an error or drops the connection), Dial transparently
-  /// redials and speaks protocol v1 — new client, old server, no caller
-  /// involvement.
-  bool negotiate = true;
-  uint8_t min_version = kProtocolV1;
-  uint8_t max_version = kProtocolVersionMax;
   /// Admission-quota domain this connection bills to ("" = default tenant).
   std::string tenant;
 };
+
+/// One per-request ack, in request order.
+struct Ack {
+  Status status;
+  uint64_t payload = 0;
+};
+
+/// Expands one reply frame into per-request acks, appended to `*out`:
+/// kStatusReply is one ack, kBatchStatusReply one per run count. The TCP
+/// and shm producers both decode acks here, so they share ack semantics by
+/// construction. Error on any other frame type.
+Status ExpandAckFrame(const Frame& reply, std::vector<Ack>* out);
 
 /// One blocking TCP connection to a GatewayServer: socket, framing, and the
 /// unary request/response calls every role needs. Not thread safe.
 class Connection {
  public:
-  /// Connects to host:port (IPv4 dotted quad) and, per `options`,
-  /// negotiates the protocol version.
+  /// Connects to host:port (IPv4 dotted quad) and says Hello with
+  /// `options.tenant`; fails if the server rejects the Hello.
   static Result<std::unique_ptr<Connection>> Dial(const std::string& host,
                                                   uint16_t port,
                                                   ClientOptions options = {});
@@ -75,20 +79,13 @@ class Connection {
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  /// Protocol both sides settled on (kProtocolV1 when no Hello happened).
-  uint8_t protocol_version() const { return version_; }
-  /// Server's frame-body ceiling from the HelloReply (default when v1).
-  uint32_t server_max_frame_body() const { return server_max_frame_body_; }
-  /// Server banner from the HelloReply ("" when v1).
-  const std::string& server_banner() const { return server_; }
-
   // --- Framing (exposed for pipelining, benchmarks, and tests) ---------------
 
-  /// Writes one request frame (stamped with the negotiated version).
+  /// Writes one request frame.
   Status SendFrame(FrameType type, const std::string& body);
-  /// Writes pre-encoded frame bytes verbatim. Lets a pipelining caller (or
-  /// a benchmark that must not encode inside its timed section) build the
-  /// wire image up front.
+  /// Writes pre-encoded frame bytes verbatim (EncodeFrame output). Lets a
+  /// pipelining caller (or a benchmark that must not encode inside its
+  /// timed section) build the wire image up front.
   Status SendRaw(const std::string& bytes);
   /// Blocks until one whole response frame is available.
   Status ReadFrame(Frame* frame);
@@ -96,13 +93,6 @@ class Connection {
   Status Call(FrameType type, const std::string& body, Frame* reply);
   /// Interprets a kStatusReply frame (error on other frame types).
   static Status ExpectStatusReply(const Frame& reply, uint64_t* payload);
-
-  /// Encodes a frame exactly as SendFrame would, without sending — the
-  /// building block for pre-encoded pipelined bursts.
-  void EncodeFrameTo(FrameType type, const std::string& body,
-                     std::string* out) const {
-    EncodeFrame(type, body, out, wire_version());
-  }
 
   // --- Unary control plane ---------------------------------------------------
 
@@ -126,20 +116,12 @@ class Connection {
   explicit Connection(int fd) : fd_(fd) {}
 
   static Result<int> DialSocket(const std::string& host, uint16_t port);
-  /// Runs the Hello exchange; OK with `*negotiated=false` means the server
-  /// is pre-Hello and the caller should redial plain.
-  Status Negotiate(const ClientOptions& options, bool* negotiated);
+  /// Runs the Hello exchange that opens every connection.
+  Status Hello(const ClientOptions& options);
   Status RuleToggle(FrameType type, const std::string& name);
-
-  uint8_t wire_version() const {
-    return version_ >= kProtocolV2 ? version_ : 0;
-  }
 
   int fd_ = -1;
   std::string inbuf_;  ///< Bytes read past the last complete frame.
-  uint8_t version_ = kProtocolV1;
-  uint32_t server_max_frame_body_ = kDefaultMaxFrameBody;
-  std::string server_;
 };
 
 /// Producer role: raises events over a Connection it does not own. The
@@ -187,12 +169,6 @@ class Publisher {
   uint64_t first_rejected_seq() const { return first_rejected_seq_; }
 
  private:
-  /// One per-request ack, in request order.
-  struct Ack {
-    Status status;
-    uint64_t payload = 0;
-  };
-
   /// Reads one response frame and appends the ack(s) it settles.
   Status ReadAcks(std::vector<Ack>* out);
   /// One windowed pass over `pending`; fills `acks` 1:1 with it.
@@ -253,8 +229,8 @@ class Subscriber {
 /// (src/shmtp) when one is reachable and pushes raise frames with zero
 /// syscalls on the hot path; otherwise it transparently dials TCP and
 /// behaves exactly like a Publisher. The raise surface is a subset of
-/// Publisher's, with identical semantics — acks are the same v2
-/// StatusReply / ranged BatchStatusReply frames either way.
+/// Publisher's, with identical semantics — acks are the same StatusReply /
+/// ranged BatchStatusReply frames either way.
 class LocalPublisher {
  public:
   struct Options {
@@ -309,74 +285,6 @@ class LocalPublisher {
   std::unique_ptr<Publisher> tcp_;        ///< Lives on conn_.
   size_t window_ = 256;
   uint32_t ack_timeout_ms_ = 5000;
-};
-
-/// Deprecated monolithic client: the pre-redesign API, now a thin facade
-/// over Connection + Publisher + Subscriber so existing call sites keep
-/// compiling while they migrate to the role types.
-class GatewayClient {
- public:
-  static Result<std::unique_ptr<GatewayClient>> Connect(
-      const std::string& host, uint16_t port, ClientOptions options = {});
-
-  GatewayClient(const GatewayClient&) = delete;
-  GatewayClient& operator=(const GatewayClient&) = delete;
-
-  Connection* connection() { return conn_.get(); }
-  Publisher* publisher() { return &publisher_; }
-  Subscriber* subscriber() { return &subscriber_; }
-
-  using RetryPolicy = net::RetryPolicy;
-
-  void set_retry_policy(const RetryPolicy& policy) {
-    publisher_.set_retry_policy(policy);
-  }
-  const RetryPolicy& retry_policy() const {
-    return publisher_.retry_policy();
-  }
-  uint64_t retries_total() const { return publisher_.retries_total(); }
-
-  Status Ping() { return conn_->Ping(); }
-  Result<uint64_t> RaiseEvent(const std::string& class_name,
-                              const std::string& method,
-                              EventModifier modifier, const ValueList& params,
-                              uint64_t oid = 0) {
-    return publisher_.Raise(class_name, method, modifier, params, oid);
-  }
-  Status RaisePipelined(const std::vector<RaiseEventMsg>& msgs,
-                        uint64_t* rejected = nullptr) {
-    return publisher_.RaisePipelined(msgs, rejected);
-  }
-  Status CreateRule(const CreateRuleMsg& spec) {
-    return conn_->CreateRule(spec);
-  }
-  Status EnableRule(const std::string& name) {
-    return conn_->EnableRule(name);
-  }
-  Status DisableRule(const std::string& name) {
-    return conn_->DisableRule(name);
-  }
-  Status Subscribe(const std::string& key) {
-    return subscriber_.Subscribe(key);
-  }
-  Result<std::vector<Notification>> Fetch(uint32_t max, uint32_t wait_ms) {
-    return subscriber_.Fetch(max, wait_ms);
-  }
-  Result<std::string> GetStats(
-      uint32_t sections = StatsRequestMsg::kDatabase |
-                          StatsRequestMsg::kGateway) {
-    return conn_->GetStats(sections);
-  }
-
- private:
-  explicit GatewayClient(std::unique_ptr<Connection> conn)
-      : conn_(std::move(conn)),
-        publisher_(conn_.get()),
-        subscriber_(conn_.get()) {}
-
-  std::unique_ptr<Connection> conn_;
-  Publisher publisher_;
-  Subscriber subscriber_;
 };
 
 }  // namespace net

@@ -49,7 +49,6 @@ bool IsKnownFrameType(uint8_t raw) {
     case FrameType::kStatusReply:
     case FrameType::kNotificationBatch:
     case FrameType::kStatsReply:
-    case FrameType::kHelloReply:
     case FrameType::kBatchStatusReply:
     case FrameType::kReplBatch:
       return true;
@@ -57,14 +56,12 @@ bool IsKnownFrameType(uint8_t raw) {
   return false;
 }
 
-void EncodeFrame(FrameType type, const std::string& body, std::string* out,
-                 uint8_t version) {
+void EncodeFrame(FrameType type, const std::string& body, std::string* out) {
   Encoder enc;
   // Length and version share one little-endian u32: low 24 bits length,
-  // high byte version. Version-0 output is byte-identical to pre-versioning
-  // frames.
+  // high byte version.
   enc.PutU32(static_cast<uint32_t>(body.size()) |
-             (static_cast<uint32_t>(version) << 24));
+             (static_cast<uint32_t>(kProtocolV2) << 24));
   enc.PutU8(static_cast<uint8_t>(type));
   out->append(enc.buffer());
   out->append(body);
@@ -83,10 +80,10 @@ DecodeProgress TryDecodeFrame(std::string_view buf, uint32_t max_body,
   uint32_t body_len = len_word & kFrameBodyLimit;
   uint8_t version = static_cast<uint8_t>(len_word >> 24);
 
-  // Validate the header before waiting for the body: an oversized length,
-  // an unknown type, or a version from the future can never become a good
-  // frame, so fail fast.
-  if (version > kProtocolVersionMax) {
+  // Validate the header before waiting for the body: a foreign version, an
+  // oversized length, or an unknown type can never become a good frame, so
+  // fail fast.
+  if (version != kProtocolV2) {
     *error = Status::InvalidArgument("unsupported protocol version " +
                                      std::to_string(version));
     return DecodeProgress::kError;
@@ -105,7 +102,6 @@ DecodeProgress TryDecodeFrame(std::string_view buf, uint32_t max_body,
   if (buf.size() < kFrameHeaderSize + body_len) return DecodeProgress::kNeedMore;
 
   frame->type = static_cast<FrameType>(raw_type);
-  frame->version = version;
   frame->body.assign(buf.substr(kFrameHeaderSize, body_len));
   *consumed = kFrameHeaderSize + body_len;
   return DecodeProgress::kFrame;
@@ -258,10 +254,8 @@ Result<HistoryScanMsg> HistoryScanMsg::Decode(const std::string& body) {
   SENTINEL_RETURN_IF_ERROR(dec.GetI64(&msg.max_micros));
   SENTINEL_RETURN_IF_ERROR(dec.GetU64(&msg.oid));
   SENTINEL_RETURN_IF_ERROR(dec.GetU32(&msg.limit));
-  if (!dec.AtEnd()) {  // Cursor absent from pre-cursor peers.
-    SENTINEL_RETURN_IF_ERROR(dec.GetU64(&msg.after_seq));
-    SENTINEL_RETURN_IF_ERROR(dec.GetU32(&msg.after_shard));
-  }
+  SENTINEL_RETURN_IF_ERROR(dec.GetU64(&msg.after_seq));
+  SENTINEL_RETURN_IF_ERROR(dec.GetU32(&msg.after_shard));
   SENTINEL_RETURN_IF_ERROR(ExpectEnd(dec));
   if (msg.min_seq > msg.max_seq) {
     return Status::InvalidArgument("history scan: min_seq > max_seq");
@@ -276,8 +270,6 @@ Result<HistoryScanMsg> HistoryScanMsg::Decode(const std::string& body) {
 
 void HelloMsg::Encode(Encoder* enc) const {
   enc->PutU32(magic);
-  enc->PutU8(min_version);
-  enc->PutU8(max_version);
   enc->PutString(tenant);
 }
 
@@ -285,38 +277,10 @@ Result<HelloMsg> HelloMsg::Decode(const std::string& body) {
   Decoder dec(body);
   HelloMsg msg;
   SENTINEL_RETURN_IF_ERROR(dec.GetU32(&msg.magic));
-  SENTINEL_RETURN_IF_ERROR(dec.GetU8(&msg.min_version));
-  SENTINEL_RETURN_IF_ERROR(dec.GetU8(&msg.max_version));
   SENTINEL_RETURN_IF_ERROR(dec.GetString(&msg.tenant));
   SENTINEL_RETURN_IF_ERROR(ExpectEnd(dec));
   if (msg.magic != kMagic) {
     return Status::InvalidArgument("bad hello magic");
-  }
-  if (msg.min_version == 0 || msg.min_version > msg.max_version) {
-    return Status::InvalidArgument("bad hello version range [" +
-                                   std::to_string(msg.min_version) + ", " +
-                                   std::to_string(msg.max_version) + "]");
-  }
-  return msg;
-}
-
-// --- HelloReplyMsg -----------------------------------------------------------
-
-void HelloReplyMsg::Encode(Encoder* enc) const {
-  enc->PutU8(version);
-  enc->PutU32(max_frame_body);
-  enc->PutString(server);
-}
-
-Result<HelloReplyMsg> HelloReplyMsg::Decode(const std::string& body) {
-  Decoder dec(body);
-  HelloReplyMsg msg;
-  SENTINEL_RETURN_IF_ERROR(dec.GetU8(&msg.version));
-  SENTINEL_RETURN_IF_ERROR(dec.GetU32(&msg.max_frame_body));
-  SENTINEL_RETURN_IF_ERROR(dec.GetString(&msg.server));
-  SENTINEL_RETURN_IF_ERROR(ExpectEnd(dec));
-  if (msg.version == 0) {
-    return Status::InvalidArgument("hello reply names version 0");
   }
   return msg;
 }
@@ -614,10 +578,8 @@ Result<HistoryBatchMsg> HistoryBatchMsg::Decode(const std::string& body) {
     msg.items.push_back(std::move(n));
   }
   SENTINEL_RETURN_IF_ERROR(dec.GetBool(&msg.complete));
-  if (!dec.AtEnd()) {  // Cursor absent from pre-cursor peers.
-    SENTINEL_RETURN_IF_ERROR(dec.GetU64(&msg.next_seq));
-    SENTINEL_RETURN_IF_ERROR(dec.GetU32(&msg.next_shard));
-  }
+  SENTINEL_RETURN_IF_ERROR(dec.GetU64(&msg.next_seq));
+  SENTINEL_RETURN_IF_ERROR(dec.GetU32(&msg.next_shard));
   SENTINEL_RETURN_IF_ERROR(ExpectEnd(dec));
   return msg;
 }

@@ -53,6 +53,10 @@ struct ModifierCase {
   EventModifier expected;
 };
 
+// Without this gtest prints the raw bytes of the struct, pointer and padding
+// included, and those bytes end up in the test names CTest discovers.
+void PrintTo(const ModifierCase& c, std::ostream* os) { *os << c.word; }
+
 class ModifierSynonymTest : public ::testing::TestWithParam<ModifierCase> {};
 
 TEST_P(ModifierSynonymTest, AllSynonymsParse) {

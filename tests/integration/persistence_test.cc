@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "core/database.h"
 #include "events/operators.h"
@@ -162,6 +163,39 @@ TEST(PersistenceIntegrationTest, CommittedStateSurvivesSimulatedCrash) {
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc.value()->GetAttr("body"), Value("committed text"));
   reopened.value()->UnregisterLiveObject(doc.value().get()).ok();
+}
+
+// A damaged WAL header must stop Database::Open with Corruption: replaying
+// it as an empty log would silently drop every commit it holds.
+TEST(PersistenceIntegrationTest, CorruptWalHeaderFailsOpen) {
+  TempDir dir("walhdr");
+  Database::Options options;
+  options.dir = dir.path();
+  {
+    auto opened = Database::Open(options);
+    ASSERT_TRUE(opened.ok());
+    auto db = std::move(opened).value();
+    ASSERT_TRUE(db->RegisterClass(
+        ClassBuilder("Doc").Reactive().Build()).ok());
+    ReactiveObject doc("Doc");
+    doc.SetAttrRaw("body", Value("committed text"));
+    ASSERT_TRUE(db->RegisterLiveObject(&doc).ok());
+    ASSERT_TRUE(db->WithTransaction([&](Transaction* txn) {
+      return db->Persist(txn, &doc);
+    }).ok());
+    db->UnregisterLiveObject(&doc).ok();
+  }
+  {
+    std::fstream f(dir.path() + "/wal.log",
+                   std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    f.seekp(1);
+    f.put('X');  // "SWAL" -> "SXAL".
+  }
+  auto reopened = Database::Open(options);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption())
+      << reopened.status().ToString();
 }
 
 TEST(PersistenceIntegrationTest, DeleteRuleRemovesPersistentImage) {

@@ -3,9 +3,7 @@
 // End-to-end gateway tests over loopback TCP: a remote raise triggers
 // rules and reaches another connection's subscription, long-polls complete
 // on raise, and malformed streams are rejected without taking the server
-// down. Clients use the role API (Connection + Publisher + Subscriber);
-// one test pins the deprecated GatewayClient facade so the migration shim
-// keeps working until it is removed.
+// down. Clients use the role API (Connection + Publisher + Subscriber).
 
 #include "net/server.h"
 
@@ -65,7 +63,37 @@ class GatewayTest : public ::testing::Test {
     return std::move(c).value();
   }
 
-  GatewayOptions options_;
+  /// A raw loopback socket to the gateway (no Hello), for hostile-stream
+  /// tests that must control every byte.
+  int RawDial() {
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server_->port());
+    EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    return fd;
+  }
+
+  /// Sends `bytes` on a raw socket, reads until the server closes it, and
+  /// returns everything received.
+  static std::string SendAndReadToClose(int fd, const std::string& bytes) {
+    EXPECT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
+              static_cast<ssize_t>(bytes.size()));
+    std::string got;
+    char buf[4096];
+    while (true) {
+      ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      got.append(buf, static_cast<size_t>(n));
+    }
+    ::close(fd);
+    return got;
+  }
+
+  ServerOptions options_;
   std::unique_ptr<testing_util::TempDir> tmp_;
   std::unique_ptr<Database> db_;
   std::unique_ptr<GatewayServer> server_;
@@ -347,41 +375,12 @@ TEST_F(GatewayTest, PipelinedRejectionStallsWindowAndWithholdsTail) {
   EXPECT_EQ(processed_after - processed_before, kWindow);
 }
 
-TEST_F(GatewayTest, DeprecatedGatewayClientShimStillWorks) {
-  // The monolithic facade must stay a faithful veneer over the role types
-  // until every external caller has migrated: same wire behaviour, same
-  // retry plumbing, bundled on one connection.
-  auto connected = GatewayClient::Connect("127.0.0.1", server_->port());
-  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
-  auto client = std::move(connected).value();
-
-  EXPECT_TRUE(client->Ping().ok());
-  ASSERT_TRUE(client->Subscribe("end Sensor::Report").ok());
-  auto oid = client->RaiseEvent("Sensor", "Report", EventModifier::kEnd,
-                                {Value(5.5)});
-  ASSERT_TRUE(oid.ok()) << oid.status().ToString();
-  auto batch = client->Fetch(16, 2000);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->size(), 1u);
-  EXPECT_EQ((*batch)[0].key, "end Sensor::Report");
-  // The facade exposes its role pieces for incremental migration.
-  EXPECT_EQ(client->publisher()->retries_total(), client->retries_total());
-  EXPECT_TRUE(client->connection()->Ping().ok());
-}
-
 TEST_F(GatewayTest, DisconnectWhileParkedReapsFetchAndSubscriptions) {
   // Regression: a session that died while parked on a long-poll fetch used
   // to stay registered in the hub's parked set, and its subscriptions kept
   // receiving (and dropping) notifications forever. The kill-while-parked
   // sequence below must leave the server fully clean.
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server_->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
+  int fd = RawDial();
 
   auto send_frame = [&](FrameType type, const auto& msg) {
     Encoder enc;
@@ -453,32 +452,16 @@ TEST_F(GatewayTest, DisconnectWhileParkedReapsFetchAndSubscriptions) {
 }
 
 TEST_F(GatewayTest, GarbageBytesGetErrorReplyThenDisconnect) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server_->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
+  int fd = RawDial();
 
   // An unknown frame type right in the header.
   Encoder enc;
-  enc.PutU32(3);
+  enc.PutU32(3 | (uint32_t{kProtocolV2} << 24));
   enc.PutU8(200);
   enc.PutRaw("abc", 3);
-  ASSERT_EQ(::send(fd, enc.buffer().data(), enc.size(), 0),
-            static_cast<ssize_t>(enc.size()));
 
   // The server answers with a StatusReply frame, then closes.
-  std::string got;
-  char buf[4096];
-  while (true) {
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    got.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
+  std::string got = SendAndReadToClose(fd, enc.buffer());
 
   Frame frame;
   size_t consumed = 0;
@@ -497,29 +480,12 @@ TEST_F(GatewayTest, GarbageBytesGetErrorReplyThenDisconnect) {
 }
 
 TEST_F(GatewayTest, OversizedFrameIsRejected) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server_->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
+  int fd = RawDial();
 
   Encoder enc;
-  enc.PutU32(kDefaultMaxFrameBody + 1);
+  enc.PutU32((kDefaultMaxFrameBody + 1) | (uint32_t{kProtocolV2} << 24));
   enc.PutU8(static_cast<uint8_t>(FrameType::kPing));
-  ASSERT_EQ(::send(fd, enc.buffer().data(), enc.size(), 0),
-            static_cast<ssize_t>(enc.size()));
-
-  std::string got;
-  char buf[4096];
-  while (true) {
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    got.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
+  std::string got = SendAndReadToClose(fd, enc.buffer());
 
   Frame frame;
   size_t consumed = 0;
@@ -531,6 +497,46 @@ TEST_F(GatewayTest, OversizedFrameIsRejected) {
   ASSERT_TRUE(reply.ok());
   EXPECT_TRUE(reply->ToStatus().IsResourceExhausted());
   EXPECT_GE(server_->stats().protocol_errors, 1u);
+}
+
+// A frame whose header carries version byte 0 (what the retired pre-v2
+// framing sent) is a protocol error like any other hostile header: one
+// error StatusReply, then the connection is dropped. Sessions that were
+// already connected keep being served.
+TEST_F(GatewayTest, VersionZeroFrameGetsErrorReplyThenDisconnect) {
+  auto bystander = Dial();
+  ASSERT_TRUE(bystander->Ping().ok());
+  const uint64_t errors_before = server_->stats().protocol_errors;
+
+  PingMsg ping;
+  Encoder body;
+  ping.Encode(&body);
+  Encoder enc;
+  enc.PutU32(static_cast<uint32_t>(body.size()));  // Version byte 0.
+  enc.PutU8(static_cast<uint8_t>(FrameType::kPing));
+  enc.PutRaw(body.buffer().data(), body.size());
+  std::string got = SendAndReadToClose(RawDial(), enc.buffer());
+
+  // Exactly one frame came back before the close: an error StatusReply.
+  Frame frame;
+  size_t consumed = 0;
+  Status error;
+  ASSERT_EQ(TryDecodeFrame(got, kDefaultMaxFrameBody, &frame, &consumed,
+                           &error),
+            DecodeProgress::kFrame)
+      << error.ToString();
+  EXPECT_EQ(consumed, got.size());
+  ASSERT_EQ(frame.type, FrameType::kStatusReply);
+  auto reply = StatusReplyMsg::Decode(frame.body);
+  ASSERT_TRUE(reply.ok());
+  EXPECT_TRUE(reply->ToStatus().IsInvalidArgument())
+      << reply->ToStatus().ToString();
+  EXPECT_EQ(server_->stats().protocol_errors, errors_before + 1);
+
+  // The server keeps serving: the earlier session and a fresh one work.
+  EXPECT_TRUE(bystander->Ping().ok());
+  auto fresh = Dial();
+  EXPECT_TRUE(fresh->Ping().ok());
 }
 
 TEST_F(GatewayTest, StopIsIdempotentAndRejectsLateClients) {

@@ -17,6 +17,15 @@ std::string Framed(FrameType type, const std::string& body) {
   return out;
 }
 
+/// A bare frame header: u24 body length | u8 version | u8 type.
+std::string Header(uint32_t body_len, uint8_t type,
+                   uint8_t version = kProtocolV2) {
+  Encoder enc;
+  enc.PutU32(body_len | (uint32_t{version} << 24));
+  enc.PutU8(type);
+  return enc.buffer();
+}
+
 template <typename Msg>
 std::string BodyOf(const Msg& msg) {
   Encoder enc;
@@ -85,29 +94,26 @@ TEST(FrameTest, TwoFramesSplitInOrder) {
 }
 
 TEST(FrameTest, OversizedLengthPrefixIsRejectedBeforeBuffering) {
-  Encoder enc;
-  enc.PutU32(kDefaultMaxFrameBody + 1);
-  enc.PutU8(static_cast<uint8_t>(FrameType::kPing));
+  std::string wire = Header(kDefaultMaxFrameBody + 1,
+                            static_cast<uint8_t>(FrameType::kPing));
 
   Frame frame;
   size_t consumed = 0;
   Status error;
-  EXPECT_EQ(TryDecodeFrame(enc.buffer(), kDefaultMaxFrameBody, &frame,
-                           &consumed, &error),
+  EXPECT_EQ(TryDecodeFrame(wire, kDefaultMaxFrameBody, &frame, &consumed,
+                           &error),
             DecodeProgress::kError);
   EXPECT_TRUE(error.IsResourceExhausted()) << error.ToString();
 }
 
 TEST(FrameTest, UnknownFrameTypeIsRejected) {
-  Encoder enc;
-  enc.PutU32(0);
-  enc.PutU8(42);  // Not a FrameType.
+  std::string wire = Header(0, 42);  // Not a FrameType.
 
   Frame frame;
   size_t consumed = 0;
   Status error;
-  EXPECT_EQ(TryDecodeFrame(enc.buffer(), kDefaultMaxFrameBody, &frame,
-                           &consumed, &error),
+  EXPECT_EQ(TryDecodeFrame(wire, kDefaultMaxFrameBody, &frame, &consumed,
+                           &error),
             DecodeProgress::kError);
   EXPECT_TRUE(error.IsInvalidArgument()) << error.ToString();
 }
@@ -287,8 +293,9 @@ TEST(WireMessageTest, SemanticValidationRejectsBadFields) {
 TEST(FrameVersionTest, VersionByteRoundTripsInHeader) {
   PingMsg ping;
   ping.token = 7;
-  std::string wire;
-  EncodeFrame(FrameType::kPing, BodyOf(ping), &wire, kProtocolV2);
+  std::string wire = Framed(FrameType::kPing, BodyOf(ping));
+  // The version is the high byte of the little-endian length word.
+  EXPECT_EQ(static_cast<uint8_t>(wire[3]), kProtocolV2);
 
   Frame frame;
   size_t consumed = 0;
@@ -296,46 +303,44 @@ TEST(FrameVersionTest, VersionByteRoundTripsInHeader) {
   ASSERT_EQ(TryDecodeFrame(wire, kDefaultMaxFrameBody, &frame, &consumed,
                            &error),
             DecodeProgress::kFrame);
-  EXPECT_EQ(frame.version, kProtocolV2);
   EXPECT_EQ(consumed, wire.size());
   EXPECT_TRUE(PingMsg::Decode(frame.body).ok());
 }
 
-TEST(FrameVersionTest, LegacyZeroHeaderStaysVersionZero) {
-  // A pre-versioning peer encodes exactly this byte stream; the top byte
-  // of its length word was always zero.
-  std::string wire = Framed(FrameType::kPing, BodyOf(PingMsg{}));
-  Frame frame;
-  size_t consumed = 0;
-  Status error;
-  ASSERT_EQ(TryDecodeFrame(wire, kDefaultMaxFrameBody, &frame, &consumed,
-                           &error),
-            DecodeProgress::kFrame);
-  EXPECT_EQ(frame.version, 0);
-}
-
-TEST(FrameVersionTest, FutureVersionIsAProtocolError) {
-  std::string wire;
-  EncodeFrame(FrameType::kPing, BodyOf(PingMsg{}), &wire,
-              kProtocolVersionMax + 1);
+void ExpectVersionRejected(uint8_t version) {
+  const std::string body = BodyOf(PingMsg{});
+  std::string wire = Header(static_cast<uint32_t>(body.size()),
+                            static_cast<uint8_t>(FrameType::kPing), version) +
+                     body;
   Frame frame;
   size_t consumed = 0;
   Status error;
   EXPECT_EQ(TryDecodeFrame(wire, kDefaultMaxFrameBody, &frame, &consumed,
                            &error),
-            DecodeProgress::kError);
+            DecodeProgress::kError)
+      << "version " << int{version};
+  EXPECT_TRUE(error.IsInvalidArgument()) << error.ToString();
+  EXPECT_EQ(consumed, 0u);
+}
+
+TEST(FrameVersionTest, ForeignVersionByteIsAProtocolError) {
+  // Version 0 is what pre-versioning framing sent and 1 was never a header
+  // value: both fail on the header alone.
+  ExpectVersionRejected(0);
+  ExpectVersionRejected(1);
+}
+
+TEST(FrameVersionTest, FutureVersionIsAProtocolError) {
+  ExpectVersionRejected(static_cast<uint8_t>(kProtocolV2 + 1));
+  ExpectVersionRejected(255);
 }
 
 TEST(WireMessageTest, HelloRoundTripsAndValidates) {
   HelloMsg hello;
-  hello.min_version = kProtocolV1;
-  hello.max_version = kProtocolV2;
   hello.tenant = "acme";
   auto decoded = HelloMsg::Decode(BodyOf(hello));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->magic, HelloMsg::kMagic);
-  EXPECT_EQ(decoded->min_version, kProtocolV1);
-  EXPECT_EQ(decoded->max_version, kProtocolV2);
   EXPECT_EQ(decoded->tenant, "acme");
 
   // Wrong magic.
@@ -343,26 +348,8 @@ TEST(WireMessageTest, HelloRoundTripsAndValidates) {
   bad.magic = 0xdeadbeef;
   EXPECT_FALSE(HelloMsg::Decode(BodyOf(bad)).ok());
 
-  // Inverted range.
-  bad = hello;
-  bad.min_version = 3;
-  bad.max_version = 1;
-  EXPECT_FALSE(HelloMsg::Decode(BodyOf(bad)).ok());
-}
-
-TEST(WireMessageTest, HelloReplyRoundTripsAndRejectsVersionZero) {
-  HelloReplyMsg reply;
-  reply.version = kProtocolV2;
-  reply.max_frame_body = 123456;
-  reply.server = "sentinel-gateway/2";
-  auto decoded = HelloReplyMsg::Decode(BodyOf(reply));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->version, kProtocolV2);
-  EXPECT_EQ(decoded->max_frame_body, 123456u);
-  EXPECT_EQ(decoded->server, "sentinel-gateway/2");
-
-  reply.version = 0;
-  EXPECT_FALSE(HelloReplyMsg::Decode(BodyOf(reply)).ok());
+  // Trailing bytes.
+  EXPECT_FALSE(HelloMsg::Decode(BodyOf(hello) + "x").ok());
 }
 
 TEST(WireMessageTest, BatchStatusReplyRoundTripsRuns) {

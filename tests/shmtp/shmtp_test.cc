@@ -69,8 +69,7 @@ std::string RaiseFrame(int64_t v) {
   Encoder enc;
   msg.Encode(&enc);
   std::string wire;
-  net::EncodeFrame(FrameType::kRaiseEvent, enc.buffer(), &wire,
-                   net::kProtocolV2);
+  net::EncodeFrame(FrameType::kRaiseEvent, enc.buffer(), &wire);
   return wire;
 }
 
@@ -257,7 +256,7 @@ TEST_F(ShmtpTest, NonRaiseFrameIsAckedInvalidArgument) {
   Encoder enc;
   ping.Encode(&enc);
   std::string wire;
-  net::EncodeFrame(FrameType::kPing, enc.buffer(), &wire, net::kProtocolV2);
+  net::EncodeFrame(FrameType::kPing, enc.buffer(), &wire);
   ASSERT_TRUE(handle->PushFrame(wire).ok());
 
   Frame reply;

@@ -2,6 +2,8 @@
 
 #include "txn/wal.h"
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -205,17 +207,50 @@ TEST(WalTest, TruncateToDropsPrefixAndLsnsStayMonotone) {
   EXPECT_EQ(records[0].payload, "new-c");
 }
 
-TEST(WalTest, LegacyHeaderlessLogReplaysAndUpgrades) {
+// Writes a log holding `n` synced records and returns its path.
+std::string WriteLog(const TempDir& dir, int n) {
+  std::string path = dir.path() + "/wal.log";
+  WalManager wal;
+  EXPECT_TRUE(wal.Open(path).ok());
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(
+        wal.Append({WalRecordType::kPut, 1, static_cast<uint64_t>(i), "x"})
+            .ok());
+  }
+  EXPECT_TRUE(wal.Sync().ok());
+  EXPECT_TRUE(wal.Close().ok());
+  return path;
+}
+
+// One flipped bit in the magic must not turn a log of acked commits into
+// an "empty" one: Open refuses it as Corruption.
+TEST(WalTest, FlippedMagicBitIsCorruption) {
+  TempDir dir("wal");
+  std::string path = WriteLog(dir, 9);
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    char c = 0;
+    f.seekg(0);
+    f.get(c);
+    f.seekp(0);
+    f.put(static_cast<char>(c ^ 0x01));
+  }
+  WalManager wal;
+  Status s = wal.Open(path);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+// A file that holds records but no header at all (the retired headerless
+// format) is Corruption too, never an empty log.
+TEST(WalTest, HeaderlessLogWithRecordsIsCorruption) {
   TempDir dir("wal");
   std::string path = dir.path() + "/wal.log";
-  // Hand-write a v1 log: no header, records framed [u32 len][body] with no
-  // CRC — what every log written before versioning looks like.
   {
     Encoder body;
     body.PutU8(static_cast<uint8_t>(WalRecordType::kPut));
-    body.PutU64(42);   // txn
-    body.PutU64(77);   // oid
-    body.PutString("legacy payload");
+    body.PutU64(42);  // txn
+    body.PutU64(77);  // oid
+    body.PutString("headerless payload");
     Encoder framed;
     framed.PutU32(static_cast<uint32_t>(body.size()));
     framed.PutRaw(body.buffer().data(), body.size());
@@ -224,33 +259,35 @@ TEST(WalTest, LegacyHeaderlessLogReplaysAndUpgrades) {
               static_cast<std::streamsize>(framed.size()));
   }
   WalManager wal;
-  ASSERT_TRUE(wal.Open(path).ok());
-  std::vector<WalRecord> records;
-  ASSERT_TRUE(wal.ReadAll(&records).ok());
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].txn, 42u);
-  EXPECT_EQ(records[0].oid, 77u);
-  EXPECT_EQ(records[0].payload, "legacy payload");
+  Status s = wal.Open(path);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
 
-  // Appends to a v1 log keep v1 framing (uniform replay)...
-  ASSERT_TRUE(wal.Append({WalRecordType::kCommit, 42, 0, ""}).ok());
-  ASSERT_TRUE(wal.ReadAll(&records).ok());
-  EXPECT_EQ(records.size(), 2u);
-  // ...and the first Reset/TruncateTo rewrites the file as version 2.
-  ASSERT_TRUE(wal.Reset().ok());
-  ASSERT_TRUE(wal.Append({WalRecordType::kPut, 1, 5, "modern"}).ok());
-  ASSERT_TRUE(wal.Close().ok());
-  {
-    std::ifstream in(path, std::ios::binary);
-    char magic[4] = {0, 0, 0, 0};
-    in.read(magic, 4);
-    EXPECT_EQ(std::string(magic, 4), "SWAL");
+// A file shorter than the 24-byte header can only be a crash while the log
+// was being created: it holds no records and reopens as a fresh empty log.
+TEST(WalTest, TornHeaderReopensAsFreshLog) {
+  for (size_t torn : {1u, 3u, 4u, 16u, 23u}) {
+    TempDir dir("wal");
+    std::string path = WriteLog(dir, 0);
+    ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(torn)), 0);
+
+    WalManager wal;
+    Status s = wal.Open(path);
+    ASSERT_TRUE(s.ok()) << "torn at " << torn << ": " << s.ToString();
+    std::vector<WalRecord> records;
+    ASSERT_TRUE(wal.ReadAll(&records).ok());
+    EXPECT_TRUE(records.empty());
+    EXPECT_EQ(*wal.CurrentLsn(), 0u);
+    // The rewritten header holds: appends survive another reopen.
+    ASSERT_TRUE(wal.Append({WalRecordType::kPut, 1, 5, "after"}).ok());
+    ASSERT_TRUE(wal.Sync().ok());
+    ASSERT_TRUE(wal.Close().ok());
+    WalManager reopened;
+    ASSERT_TRUE(reopened.Open(path).ok()) << "torn at " << torn;
+    ASSERT_TRUE(reopened.ReadAll(&records).ok());
+    ASSERT_EQ(records.size(), 1u) << "torn at " << torn;
+    EXPECT_EQ(records[0].payload, "after");
   }
-  WalManager wal2;
-  ASSERT_TRUE(wal2.Open(path).ok());
-  ASSERT_TRUE(wal2.ReadAll(&records).ok());
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].payload, "modern");
 }
 
 TEST(WalTest, OperationsOnClosedWalFail) {
