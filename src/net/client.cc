@@ -529,22 +529,24 @@ Status LocalPublisher::RaisePipelinedShmInternal(
   std::vector<Ack> acks;
   const auto ack_timeout = std::chrono::milliseconds(ack_timeout_ms_);
   while (acked < msgs.size()) {
-    // Fill the window. A full job ring is not an error — the host is
-    // momentarily behind; draining an ack below implies progress.
-    bool ring_full = false;
+    // Fill the window, then publish the whole fill with one commit (one
+    // doorbell check, not one per frame). A full job ring is not an error
+    // — the host is momentarily behind; draining an ack below implies
+    // progress.
+    Status append = Status::OK();
     while (sent < msgs.size() && sent - acked < window_) {
       wire.clear();
       enc.Clear();
       msgs[sent].Encode(&enc);
       EncodeFrame(FrameType::kRaiseEvent, enc.buffer(), &wire);
-      Status s = shm_->PushFrame(wire);
-      if (s.IsResourceExhausted()) {
-        ring_full = true;
-        break;
-      }
-      SENTINEL_RETURN_IF_ERROR(s);
+      append = shm_->AppendFrame(wire);
+      if (!append.ok()) break;
       ++sent;
     }
+    // Frames appended before a failed append were raised: publish them too.
+    shm_->Commit();
+    const bool ring_full = append.IsResourceExhausted();
+    if (!append.ok() && !ring_full) return append;
     if (acked == sent) {
       if (!ring_full) continue;
       // Nothing in flight yet the ring will not take one frame: it can

@@ -118,7 +118,7 @@ ShmHandle::~ShmHandle() {
   munmap(base_, map_bytes_);
 }
 
-Status ShmHandle::PushFrame(std::string_view frame) {
+Status ShmHandle::AppendFrame(std::string_view frame) {
   if (sb_->host_state.load(std::memory_order_acquire) != kHostServing) {
     return Status::FailedPrecondition("shmtp host is not serving");
   }
@@ -126,23 +126,32 @@ Status ShmHandle::PushFrame(std::string_view frame) {
   if (need > job_cap_) {
     return Status::InvalidArgument("frame larger than the shmtp job ring");
   }
-  const uint64_t tail = rh_->job_tail.load(std::memory_order_relaxed);
-  // Acquire pairs with the host's post-copy head advance: space at
+  const uint64_t at =
+      rh_->job_tail.load(std::memory_order_relaxed) + appended_;
+  // Acquire pairs with the host's post-decode head advance: space at
   // positions < head is no longer being read.
   const uint64_t head = rh_->job_head.load(std::memory_order_acquire);
-  if (job_cap_ - (tail - head) < need) {
+  if (job_cap_ - (at - head) < need) {
     return Status::ResourceExhausted("shmtp job ring full");
   }
   const uint32_t len = static_cast<uint32_t>(frame.size());
-  RingWriteBytes(job_, job_cap_, tail, &len, sizeof(len));
-  RingWriteBytes(job_, job_cap_, tail + kJobRecordPrefix, frame.data(),
+  RingWriteBytes(job_, job_cap_, at, &len, sizeof(len));
+  RingWriteBytes(job_, job_cap_, at + kJobRecordPrefix, frame.data(),
                  frame.size());
+  appended_ += need;
+  return Status::OK();
+}
+
+void ShmHandle::Commit() {
+  if (appended_ == 0) return;
+  const uint64_t tail = rh_->job_tail.load(std::memory_order_relaxed);
   // The commit: everything before it is invisible to the host, so a crash
-  // up to here leaves only an unreachable torn record. seq_cst so the
-  // doorbell check below cannot be reordered ahead of the publication
-  // (the host's park runs the same fence-then-recheck from the other
-  // side — DESIGN.md §14).
-  rh_->job_tail.store(tail + need, std::memory_order_seq_cst);
+  // up to here leaves only unreachable records. seq_cst so the doorbell
+  // check below cannot be reordered ahead of the publication (the host's
+  // park runs the same store-then-recheck from the other side —
+  // DESIGN.md §14.3).
+  rh_->job_tail.store(tail + appended_, std::memory_order_seq_cst);
+  appended_ = 0;
   if (rh_->job_head.load(std::memory_order_seq_cst) == tail) {
     // Empty -> non-empty edge: the host may be parked (or mid-park). Only
     // the producer that flips the doorbell back to Awake owns the wake
@@ -154,6 +163,11 @@ Status ShmHandle::PushFrame(std::string_view frame) {
       FutexWake(&sb_->doorbell, 1);
     }
   }
+}
+
+Status ShmHandle::PushFrame(std::string_view frame) {
+  SENTINEL_RETURN_IF_ERROR(AppendFrame(frame));
+  Commit();
   return Status::OK();
 }
 
@@ -213,13 +227,14 @@ Status ShmHandle::ReadAckFrame(net::Frame* frame,
 }
 
 void ShmHandle::TearFrameForTest(std::string_view frame) {
-  const uint64_t tail = rh_->job_tail.load(std::memory_order_relaxed);
+  const uint64_t tail =
+      rh_->job_tail.load(std::memory_order_relaxed) + appended_;
   const uint32_t len = static_cast<uint32_t>(frame.size());
   RingWriteBytes(job_, job_cap_, tail, &len, sizeof(len));
   RingWriteBytes(job_, job_cap_, tail + kJobRecordPrefix, frame.data(),
                  frame.size() / 2);
-  // No job_tail store: the record stays past the committed tail, exactly
-  // as if the producer died between the copy and the commit.
+  // Not counted in appended_ and no job_tail store: the record stays past
+  // the committed tail, exactly as if the producer died mid-copy.
 }
 
 }  // namespace shmtp

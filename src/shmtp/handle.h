@@ -5,9 +5,10 @@
 // A handle attaches to a host's segment, claims one job/completion ring
 // pair, and pushes fully-encoded wire frames (the same bytes a TCP client
 // would write to its socket). Acks come back as wire frames too — decode
-// them with the ordinary framing machinery. The hot path (PushFrame with
-// ring space, ReadAckFrame with bytes pending) performs no syscalls and no
-// allocation beyond the caller's buffers.
+// them with the ordinary framing machinery. The hot path (AppendFrame with
+// ring space, Commit onto a non-empty ring or an awake host, ReadAckFrame
+// with bytes pending) performs no syscalls and no allocation beyond the
+// caller's buffers.
 //
 // Not thread safe: one handle per producer thread, like a Connection.
 
@@ -43,11 +44,21 @@ class ShmHandle {
   ShmHandle(const ShmHandle&) = delete;
   ShmHandle& operator=(const ShmHandle&) = delete;
 
-  /// Publishes one complete wire frame (header + body, pre-encoded).
-  /// ResourceExhausted when the ring lacks space — drain acks and retry;
-  /// FailedPrecondition once the host stopped serving. The frame is
-  /// invisible to the host until the final commit store, so a crash
-  /// anywhere inside this call never exposes a torn record.
+  /// Writes one complete wire frame (header + body, pre-encoded) past the
+  /// committed tail. The record stays invisible to the host until the next
+  /// Commit, so a crash before it never exposes any appended frame.
+  /// ResourceExhausted when the ring lacks space (appended frames count as
+  /// used) — commit, drain acks and retry; FailedPrecondition once the host
+  /// stopped serving.
+  Status AppendFrame(std::string_view frame);
+
+  /// Publishes every frame appended since the last commit with one
+  /// job_tail store, and rings the doorbell at most once (only on the
+  /// ring's empty -> non-empty edge while the host is parked). A no-op
+  /// when nothing is appended.
+  void Commit();
+
+  /// AppendFrame + Commit: one frame, published at once.
   Status PushFrame(std::string_view frame);
 
   /// Decodes the next reply frame from the completion stream, waiting up
@@ -66,8 +77,8 @@ class ShmHandle {
   // --- Test hooks ------------------------------------------------------------
 
   /// Writes `frame`'s length prefix and only the first half of its bytes
-  /// past the committed tail, *without* committing — the exact footprint
-  /// of a producer killed mid-PushFrame.
+  /// past the appended tail, *without* committing — the exact footprint
+  /// of a producer killed mid-AppendFrame.
   void TearFrameForTest(std::string_view frame);
 
   /// Disables the clean detach in the destructor, so tearing the handle
@@ -87,6 +98,7 @@ class ShmHandle {
   uint64_t job_cap_ = 0;
   uint64_t cpl_cap_ = 0;
   uint32_t ring_ = 0;
+  uint64_t appended_ = 0;      ///< Record bytes past job_tail, uncommitted.
   bool abandon_ = false;
   std::string inbuf_;          ///< Completion bytes past the last frame.
 };

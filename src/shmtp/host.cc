@@ -13,7 +13,9 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <iterator>
 #include <new>
+#include <string_view>
 #include <utility>
 
 #include "core/shard.h"
@@ -110,6 +112,7 @@ Status ShmHost::Start() {
   for (uint32_t i = 0; i < options_.rings; ++i) {
     new (base_ + layout_.header_offset(i)) RingHeader();
     rings_.push_back(std::make_unique<Ring>());
+    rings_.back()->staged.resize(env_.queues.size());
   }
   sb_ = sb;
   // Publish only after every header is initialised: a handle that races
@@ -142,30 +145,32 @@ void ShmHost::StopIntake() {
 
 void ShmHost::IntakeLoop() {
   uint64_t last_sweep_ms = NowMs();
-  uint32_t idle = 0;
   while (!stop_.load(std::memory_order_acquire)) {
     uint64_t now = NowMs();
     bool sweep = now - last_sweep_ms >= options_.sweep_interval_ms;
     if (sweep) last_sweep_ms = now;
-    if (ScanOnce(sweep)) {
-      idle = 0;
-      continue;
-    }
-    if (++idle < options_.spin_iterations) {
-      // Give a same-core producer the CPU; cheaper than a park/unpark
-      // round trip when frames arrive within the spin budget.
-      sched_yield();
-      continue;
-    }
-    idle = 0;
-    // Deferred admissions are waiting on a queue slot, not a producer —
-    // nobody will ring the doorbell for them, so park with a short nap.
-    bool deferred = false;
-    for (const auto& ring : rings_) {
-      if (ring->deferred_offset < ring->deferred.size()) deferred = true;
-    }
-    Park(deferred ? 1 : options_.sweep_interval_ms);
+    if (ScanOnce(sweep)) continue;
+    // One empty scan parks at once: producers commit whole batches, so the
+    // doorbell rings once per batch and a spin would only burn the core
+    // in the gaps. Staged admissions are waiting on a queue slot, not a
+    // producer — nobody will ring the doorbell for them, so park with a
+    // short nap.
+    Park(AnyStaged() ? 1 : options_.sweep_interval_ms);
   }
+}
+
+bool ShmHost::Ring::HasStaged() const {
+  for (const auto& bucket : staged) {
+    if (!bucket.empty()) return true;
+  }
+  return false;
+}
+
+bool ShmHost::AnyStaged() const {
+  for (const auto& ring : rings_) {
+    if (ring->HasStaged()) return true;
+  }
+  return false;
 }
 
 bool ShmHost::ScanOnce(bool sweep_liveness) {
@@ -174,10 +179,10 @@ bool ShmHost::ScanOnce(bool sweep_liveness) {
     if (ManageRing(i, sweep_liveness)) progress = true;
     Ring* ring = rings_[i].get();
     if (ring->session == nullptr) continue;
-    if (ring->deferred_offset < ring->deferred.size()) {
-      if (FlushDeferred(i, ring)) progress = true;
+    if (ring->HasStaged()) {
+      if (FlushStaged(ring)) progress = true;
       // Order preserved: no fresh decode while older frames wait.
-      if (ring->deferred_offset < ring->deferred.size()) continue;
+      if (ring->HasStaged()) continue;
     }
     if (DrainRing(i)) progress = true;
   }
@@ -266,8 +271,8 @@ void ShmHost::ReclaimRing(uint32_t i, const char* reason) {
     rh->pid.store(0, std::memory_order_relaxed);
     rh->state.store(kRingFree, std::memory_order_release);
   }
-  ring->deferred.clear();  // Never charged; nothing to credit back.
-  ring->deferred_offset = 0;
+  // Staged frames were never left charged; nothing to credit back.
+  for (auto& bucket : ring->staged) bucket.clear();
   ring->last_live_check_ms = 0;
   stats_.reclaims.fetch_add(1, std::memory_order_relaxed);
 }
@@ -292,50 +297,43 @@ bool ShmHost::TryCharge(const std::shared_ptr<net::Session>& session,
   return true;
 }
 
-bool ShmHost::FlushDeferred(uint32_t i, Ring* ring) {
-  (void)i;
-  auto& d = ring->deferred;
+bool ShmHost::FlushStaged(Ring* ring) {
   bool progress = false;
-  while (ring->deferred_offset < d.size()) {
-    size_t begin = ring->deferred_offset;
-    size_t shard = d[begin].shard;
-    // Charge and stage the longest same-shard run quota allows; admission
-    // happens under one queue-lock acquisition.
-    std::vector<net::IngressItem> batch;
-    size_t end = begin;
-    while (end < d.size() && d[end].shard == shard) {
-      if (!TryCharge(ring->session, &d[end].item)) break;
-      batch.push_back(std::move(d[end].item));
-      ++end;
+  for (size_t shard = 0; shard < ring->staged.size(); ++shard) {
+    std::vector<net::IngressItem>& bucket = ring->staged[shard];
+    if (bucket.empty()) continue;
+    // Charge the longest prefix quota allows; admission happens under one
+    // queue-lock acquisition.
+    size_t charged = 0;
+    while (charged < bucket.size() &&
+           TryCharge(ring->session, &bucket[charged])) {
+      ++charged;
     }
-    if (batch.empty()) return progress;  // Quota at cap: defer, uncharged.
-    size_t accepted = env_.queues[shard]->TryPushBatch(&batch);
+    if (charged == 0) continue;  // Quota at cap: defer, uncharged.
+    std::vector<net::IngressItem> uncharged;
+    if (charged < bucket.size()) {
+      uncharged.assign(std::make_move_iterator(bucket.begin() + charged),
+                       std::make_move_iterator(bucket.end()));
+      bucket.resize(charged);
+    }
+    size_t accepted = env_.queues[shard]->TryPushBatch(&bucket);
     if (accepted > 0) {
       progress = true;
       stats_.frames.fetch_add(accepted, std::memory_order_relaxed);
       stats_.batches.fetch_add(1, std::memory_order_relaxed);
     }
-    if (!batch.empty()) {
-      // Queue full mid-run: credit the un-admitted remainder back and put
-      // it where it was — lossless deferral, order intact.
-      for (size_t k = 0; k < batch.size(); ++k) {
-        net::IngressItem& item = batch[k];
-        if (item.charged_tenant != nullptr) {
-          item.session->inflight_raises.fetch_sub(1,
-                                                  std::memory_order_relaxed);
-          item.charged_tenant->inflight_raises.fetch_sub(
-              1, std::memory_order_relaxed);
-          item.charged_tenant = nullptr;
-        }
-        d[begin + accepted + k].item = std::move(item);
-      }
-      ring->deferred_offset = begin + accepted;
-      return progress;
+    // Queue full mid-bucket: credit the refused frames back; they stay
+    // first in line, ahead of the uncharged rest — lossless deferral,
+    // order intact.
+    for (net::IngressItem& item : bucket) {
+      item.session->inflight_raises.fetch_sub(1, std::memory_order_relaxed);
+      item.charged_tenant->inflight_raises.fetch_sub(
+          1, std::memory_order_relaxed);
+      item.charged_tenant = nullptr;
     }
-    ring->deferred_offset = end;
+    bucket.insert(bucket.end(), std::make_move_iterator(uncharged.begin()),
+                  std::make_move_iterator(uncharged.end()));
   }
-  d.clear();
-  ring->deferred_offset = 0;
   return progress;
 }
 
@@ -369,8 +367,17 @@ bool ShmHost::DrainRing(uint32_t i) {
       ReclaimRing(i, "malformed record length");
       return true;
     }
-    std::string bytes(len, '\0');
-    RingReadBytes(jr, cap, head + kJobRecordPrefix, bytes.data(), len);
+    // The frame decoder copies the body out, so a record that does not
+    // wrap is decoded in place; only a wrapping one is reassembled.
+    const uint64_t at = (head + kJobRecordPrefix) % cap;
+    std::string_view bytes;
+    if (at + len <= cap) {
+      bytes = std::string_view(jr + at, len);
+    } else {
+      wrap_.resize(len);
+      RingReadBytes(jr, cap, head + kJobRecordPrefix, wrap_.data(), len);
+      bytes = wrap_;
+    }
     head += kJobRecordPrefix + len;
     ++decoded;
 
@@ -404,11 +411,14 @@ bool ShmHost::DrainRing(uint32_t i) {
     net::IngressItem item;
     item.session = ring->session;
     item.frame = std::move(frame);
-    ring->deferred.push_back(Ring::Pending{shard, std::move(item)});
+    ring->staged[shard].push_back(std::move(item));
   }
-  // Space is reusable only now that every record is copied out.
-  rh->job_head.store(head, std::memory_order_release);
-  FlushDeferred(i, ring);
+  // Space is reusable only now that every record is decoded out. seq_cst,
+  // not just release: a producer committing during this drain may read
+  // the old head and skip the doorbell, and then Park's seq_cst re-scan
+  // must see its job_tail — store-then-load on both sides guarantees it.
+  rh->job_head.store(head, std::memory_order_seq_cst);
+  FlushStaged(ring);
   return true;
 }
 
@@ -452,9 +462,15 @@ void ShmHost::Park(uint32_t timeout_ms) {
   sb_->doorbell.store(kDoorbellParked, std::memory_order_seq_cst);
   for (uint32_t i = 0; i < options_.rings; ++i) {
     RingHeader* rh = header(i);
-    if (rh->job_tail.load(std::memory_order_seq_cst) !=
-            rh->job_head.load(std::memory_order_relaxed) ||
-        rh->state.load(std::memory_order_acquire) == kRingClosed) {
+    bool ready = rh->state.load(std::memory_order_acquire) == kRingClosed;
+    // A ring with staged frames waits on a shard queue, not on its
+    // producer: the caller's 1 ms bound retries it, and counting its
+    // committed bytes here would turn the park into a spin.
+    if (!ready && !rings_[i]->HasStaged()) {
+      ready = rh->job_tail.load(std::memory_order_seq_cst) !=
+              rh->job_head.load(std::memory_order_relaxed);
+    }
+    if (ready) {
       sb_->doorbell.store(kDoorbellAwake, std::memory_order_seq_cst);
       return;
     }

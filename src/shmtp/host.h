@@ -60,8 +60,6 @@ class ShmHost {
     uint32_t tenant_max_inflight_raises = 0;
     /// Pid-liveness sweep cadence; also the park timeout while idle.
     uint32_t sweep_interval_ms = 20;
-    /// Empty-scan spins before arming a futex park.
-    uint32_t spin_iterations = 512;
   };
 
   /// Hooks into the owning gateway. All queues/pointers must outlive the
@@ -107,22 +105,18 @@ class ShmHost {
  private:
   /// Host-private (non-shared) per-ring state.
   struct Ring {
-    /// One decoded frame awaiting admission, with its precomputed shard.
-    struct Pending {
-      size_t shard = 0;
-      net::IngressItem item;
-    };
-
     /// Guards `session` and serializes completion-region writes against
     /// reclaim. Worker flush notifiers take it; the intake thread takes it
     /// only on attach/reclaim transitions.
     std::mutex mu;
     std::shared_ptr<net::Session> session;
-    /// Decoded-but-not-admitted frames (deferred on backpressure/quota).
-    /// Their job-ring bytes are already consumed; admission order is kept.
-    std::vector<Pending> deferred;
-    size_t deferred_offset = 0;  ///< Items before this index were admitted.
+    /// Decoded-but-not-admitted frames, one FIFO bucket per shard queue
+    /// (deferred on backpressure/quota, uncharged). Their job-ring bytes
+    /// are already consumed; per-shard admission order is kept.
+    std::vector<std::vector<net::IngressItem>> staged;
     uint64_t last_live_check_ms = 0;
+
+    bool HasStaged() const;
   };
 
   RingHeader* header(uint32_t i);
@@ -136,9 +130,9 @@ class ShmHost {
   bool ManageRing(uint32_t i, bool sweep_liveness);
   /// Decodes + admits committed frames from ring `i`; true on progress.
   bool DrainRing(uint32_t i);
-  /// Tries to push `ring.deferred` items to their shard queues, in order.
-  /// True when everything pending was admitted.
-  bool FlushDeferred(uint32_t i, Ring* ring);
+  /// Charges and pushes each of `ring`'s staged buckets to its shard
+  /// queue, one TryPushBatch per shard; true when any frame was admitted.
+  bool FlushStaged(Ring* ring);
   /// Admission-charges `item`'s session/tenant unless a quota is at cap;
   /// false = defer (nothing charged).
   bool TryCharge(const std::shared_ptr<net::Session>& session,
@@ -151,6 +145,8 @@ class ShmHost {
   /// Parks on the doorbell after re-scanning; returns after a wake or
   /// `timeout_ms`.
   void Park(uint32_t timeout_ms);
+  /// True when any ring has staged frames waiting on a shard queue.
+  bool AnyStaged() const;
 
   Options options_;
   Env env_;
@@ -158,6 +154,9 @@ class ShmHost {
   char* base_ = nullptr;  ///< mmap base (nullptr until Start succeeds).
   Superblock* sb_ = nullptr;
   std::vector<std::unique_ptr<Ring>> rings_;
+  /// Reassembly buffer for job records that wrap the ring's end (intake
+  /// thread only); every other record decodes in place.
+  std::string wrap_;
   std::thread intake_;
   std::atomic<bool> stop_{false};
   bool intake_stopped_ = false;

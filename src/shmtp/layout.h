@@ -10,20 +10,21 @@
 //   Superblock | RingHeader[ring_count] | per-ring { job ring | cpl ring }
 //
 // Job ring: an SPSC byte ring of length-prefixed wire frames, produced by
-// the handle and consumed by the host. The producer writes the record
-// fully, *then* publishes it by storing job_tail — so a handle that dies
-// mid-write leaves a torn record past the committed tail that the host, by
-// construction, never reads ("truncate torn tail" is a cursor reset, not a
-// repair). Completion ring: the mirror-image SPSC byte stream of reply
-// frames (the same kStatusReply / ranged kBatchStatusReply encodings TCP
-// peers receive), produced by the host and consumed by the handle.
+// the handle and consumed by the host. The producer writes a batch of
+// records fully, *then* publishes them all by storing job_tail once — so a
+// handle that dies mid-batch leaves records past the committed tail that
+// the host, by construction, never reads ("truncate torn tail" is a cursor
+// reset, not a repair). Completion ring: the mirror-image SPSC byte stream
+// of reply frames (the same kStatusReply / ranged kBatchStatusReply
+// encodings TCP peers receive), produced by the host and consumed by the
+// handle.
 //
-// Wakeup is futex-based and syscall-free on the hot path: producers wake
-// the host through the superblock doorbell only on an empty->non-empty
-// edge while the host is parked (DESIGN.md §14 walks the Dekker-style
-// handshake); the host wakes one handle through its ring's cpl_seq word.
-// Futexes are non-PRIVATE because the waiter and waker are different
-// processes mapping the same physical page.
+// Wakeup is futex-based: a producer's commit wakes the host through the
+// superblock doorbell only on an empty->non-empty edge while the host is
+// parked — at most one wake per committed batch (DESIGN.md §14 walks the
+// Dekker-style handshake); the host wakes one handle through its ring's
+// cpl_seq word. Futexes are non-PRIVATE because the waiter and waker are
+// different processes mapping the same physical page.
 //
 // All cross-process atomics are lock-free u32/u64 specializations, which
 // glibc/Linux implement address-free — required, since the segment maps at

@@ -4,7 +4,9 @@
 // through the host's shm rings into the same gateway shards TCP uses, and
 // the acks come back as ordinary wire frames. The heavyweight test forks a
 // real producer process and kills it mid-push to prove the host truncates
-// the torn tail, reclaims the ring, and never applies a frame twice.
+// the torn tail, reclaims the ring, and never applies a frame twice; the
+// doorbell stress drives the append/commit + park handshake from two
+// producers with random batches and gaps.
 
 #include "shmtp/handle.h"
 
@@ -16,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -28,6 +31,7 @@ namespace sentinel {
 namespace shmtp {
 namespace {
 
+using net::Ack;
 using net::Connection;
 using net::Frame;
 using net::FrameType;
@@ -36,6 +40,7 @@ using net::Notification;
 using net::RaiseEventMsg;
 using net::StatusReplyMsg;
 using net::Subscriber;
+using std::chrono::microseconds;
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
@@ -59,9 +64,11 @@ bool PollUntil(milliseconds deadline, Pred pred) {
 }
 
 // A complete kRaiseEvent wire frame for "end Sensor::Report(v)" — the
-// exact bytes a handle pushes (and TCP clients write).
-std::string RaiseFrame(int64_t v) {
+// exact bytes a handle pushes (and TCP clients write). A nonzero `oid`
+// addresses one relay object, whose oid comes back as the ack payload.
+std::string RaiseFrame(int64_t v, uint64_t oid = 0) {
   RaiseEventMsg msg;
+  msg.oid = oid;
   msg.class_name = "Sensor";
   msg.method = "Report";
   msg.modifier = EventModifier::kEnd;
@@ -295,6 +302,56 @@ TEST_F(ShmtpTest, TornWriteIsInvisibleUntilCommit) {
   EXPECT_EQ(got[0].params[0], Value(int64_t{42}));
 }
 
+// Reads acks from `handle` until `want` raises are acked or a read fails.
+Status ReadAcks(ShmHandle* handle, size_t want, std::vector<Ack>* acks) {
+  Frame reply;
+  while (acks->size() < want) {
+    SENTINEL_RETURN_IF_ERROR(handle->ReadAckFrame(&reply, milliseconds(10000)));
+    SENTINEL_RETURN_IF_ERROR(net::ExpandAckFrame(reply, acks));
+  }
+  return Status::OK();
+}
+
+TEST_F(ShmtpTest, CommitPublishesWholeBatch) {
+  StartServer();
+  auto attached = ShmHandle::Attach(options_.shm_segment);
+  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+  auto handle = std::move(attached).value();
+  // An idle host parks right after its first empty scan.
+  ASSERT_TRUE(PollUntil(milliseconds(2000), [&] {
+    net::GatewayStats stats = server_->stats();
+    return stats.shm_attaches >= 1 && stats.shm_parks >= 1;
+  }));
+
+  constexpr size_t kBatch = 16;
+  for (size_t i = 0; i < kBatch; ++i) {
+    ASSERT_TRUE(handle->AppendFrame(RaiseFrame(static_cast<int64_t>(i))).ok());
+  }
+  // Several park timeouts and scans later, nothing appended is visible.
+  std::this_thread::sleep_for(milliseconds(60));
+  Frame reply;
+  EXPECT_TRUE(handle->ReadAckFrame(&reply, milliseconds(0)).IsBusy());
+  EXPECT_EQ(server_->stats().shm_frames, 0u);
+
+  const uint64_t wakeups_before = server_->stats().shm_wakeups;
+  handle->Commit();
+  std::vector<Ack> acks;
+  Status s = ReadAcks(handle.get(), kBatch, &acks);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(acks.size(), kBatch);
+  for (const Ack& ack : acks) {
+    EXPECT_TRUE(ack.status.ok()) << ack.status.ToString();
+  }
+  // One shard, one commit: the host saw all 16 at once and admitted them
+  // in one push, woken by at most one doorbell.
+  ASSERT_TRUE(PollUntil(milliseconds(2000), [&] {
+    return server_->stats().shm_frames == kBatch;
+  }));
+  net::GatewayStats stats = server_->stats();
+  EXPECT_EQ(stats.shm_batches, 1u);
+  EXPECT_LE(stats.shm_wakeups - wakeups_before, 1u);
+}
+
 TEST_F(ShmtpTest, AttachFailsWhenRingsExhaustedAndPublisherFallsBack) {
   options_.shm_rings = 1;
   StartServer();
@@ -338,17 +395,19 @@ TEST_F(ShmtpTest, CleanDetachReclaimsTheRingForReuse) {
   }));
 }
 
-// The ISSUE's crash drill: a real producer process dies mid-PushFrame with
-// a torn record past its committed tail. The host must (a) never surface
-// the torn bytes, (b) reclaim the ring by pid-liveness without wedging,
-// (c) let a fresh handle claim the same slot, and (d) apply no admitted
-// frame twice across the generations.
+// The crash drill: a real producer process dies with a full appended but
+// uncommitted batch and a torn record past its committed tail. The host
+// must (a) never surface the uncommitted or torn bytes, (b) reclaim the
+// ring by pid-liveness without wedging, (c) let a fresh handle claim the
+// same slot, and (d) apply no admitted frame twice across the
+// generations.
 TEST_F(ShmtpTest, CrashedProducerIsReclaimedWithoutDoubleApply) {
   options_.shm_rings = 1;
   StartServer();
   auto sub = Subscribe();
 
   constexpr int kChildFrames = 8;
+  constexpr int kUncommittedFrames = 16;
   constexpr int kParentFrames = 8;
 
   pid_t child = fork();
@@ -365,7 +424,11 @@ TEST_F(ShmtpTest, CrashedProducerIsReclaimedWithoutDoubleApply) {
     // Let the host drain and apply the committed frames (their acks pile
     // up unread in the completion region — this child never acks).
     std::this_thread::sleep_for(milliseconds(150));
-    // Die mid-push: length prefix + half the payload, no commit.
+    // Die mid-batch: a whole batch appended, then a record torn after it
+    // (length prefix + half the payload), and no commit.
+    for (int i = 0; i < kUncommittedFrames; ++i) {
+      if (!handle->AppendFrame(RaiseFrame(3000 + i)).ok()) _exit(5);
+    }
     handle->TearFrameForTest(RaiseFrame(-1));
     _exit(2);  // Skips destructors: no clean detach, just a vanished pid.
   }
@@ -396,7 +459,7 @@ TEST_F(ShmtpTest, CrashedProducerIsReclaimedWithoutDoubleApply) {
 
   // Everything the parent raised arrives; whatever subset of the child's
   // committed frames was admitted before the reclaim arrives at most once;
-  // the torn poison frame never arrives.
+  // the uncommitted batch and the torn poison frame never arrive.
   std::vector<Notification> got = Collect(sub.get(), kParentFrames, 500);
   for (auto more = sub->Fetch(64, 500); more.ok() && !more->empty();
        more = sub->Fetch(64, 500)) {
@@ -410,6 +473,10 @@ TEST_F(ShmtpTest, CrashedProducerIsReclaimedWithoutDoubleApply) {
     counts[n.params[0].AsInt()]++;
   }
   EXPECT_EQ(counts.count(-1), 0u) << "torn frame surfaced";
+  for (int i = 0; i < kUncommittedFrames; ++i) {
+    EXPECT_EQ(counts.count(3000 + i), 0u)
+        << "uncommitted frame " << i << " surfaced";
+  }
   for (const auto& [value, count] : counts) {
     EXPECT_EQ(count, 1) << "value " << value << " applied " << count
                         << " times";
@@ -421,6 +488,101 @@ TEST_F(ShmtpTest, CrashedProducerIsReclaimedWithoutDoubleApply) {
   net::GatewayStats stats = server_->stats();
   EXPECT_GE(stats.shm_reclaims, 1u);
   EXPECT_GE(stats.shm_attaches, 2u);
+}
+
+// Doorbell stress: two producers commit random batches (1 to 64 frames)
+// after random gaps (0 to 200 us) and keep a random number of frames in
+// flight, so commits land on empty and non-empty rings while the host
+// parks after every empty scan. No spin hides a lost wake: a stranded
+// commit stalls its producer until the park timeout (counted below), and
+// a lost or duplicated frame breaks the per-producer ack sequence. Each frame
+// addresses one of kOids relay objects in its producer's range, and the
+// single raise shard acks in admission order, so ack k of producer p must
+// carry DoorbellOid(p, k).
+#if defined(__SANITIZE_THREAD__)
+constexpr size_t kDoorbellFrames = 4000;
+#else
+constexpr size_t kDoorbellFrames = 20000;
+#endif
+constexpr uint64_t kDoorbellOids = 512;
+
+uint64_t DoorbellOid(int producer, size_t seq) {
+  return (uint64_t{1} << 32) + static_cast<uint64_t>(producer) * 4096 +
+         seq % kDoorbellOids;
+}
+
+// Runs one stress producer; returns "" or the first failure.
+std::string DoorbellProducer(ShmHandle* handle, int producer) {
+  std::mt19937 rng(0x5eed + producer);
+  std::uniform_int_distribution<size_t> batch_size(1, 64);
+  std::uniform_int_distribution<size_t> keep_in_flight(0, 64);
+  std::uniform_int_distribution<int> gap_us(0, 200);
+  size_t sent = 0;
+  size_t acked = 0;
+  std::vector<Ack> acks;
+  Frame reply;
+  while (acked < kDoorbellFrames) {
+    const size_t batch = batch_size(rng);
+    for (size_t n = 0; n < batch && sent < kDoorbellFrames; ++n) {
+      Status s = handle->AppendFrame(RaiseFrame(
+          static_cast<int64_t>(sent), DoorbellOid(producer, sent)));
+      if (s.IsResourceExhausted()) break;
+      if (!s.ok()) return "append: " + s.ToString();
+      ++sent;
+    }
+    handle->Commit();
+    const size_t keep = sent == kDoorbellFrames ? 0 : keep_in_flight(rng);
+    while (sent - acked > keep) {
+      Status s = handle->ReadAckFrame(&reply, milliseconds(10000));
+      if (!s.ok()) return "ack " + std::to_string(acked) + ": " + s.ToString();
+      acks.clear();
+      s = net::ExpandAckFrame(reply, &acks);
+      if (!s.ok()) return "decode: " + s.ToString();
+      for (const Ack& ack : acks) {
+        if (acked == sent) return "more acks than frames";
+        if (!ack.status.ok()) return "raise failed: " + ack.status.ToString();
+        if (ack.payload != DoorbellOid(producer, acked)) {
+          return "ack " + std::to_string(acked) + " out of order";
+        }
+        ++acked;
+      }
+    }
+    const int gap = gap_us(rng);
+    if (gap > 0) std::this_thread::sleep_for(microseconds(gap));
+  }
+  return "";
+}
+
+TEST_F(ShmtpTest, DoorbellStressAcksEveryFrameOnceInOrder) {
+  StartServer();
+  std::vector<std::unique_ptr<ShmHandle>> handles;
+  for (int p = 0; p < 2; ++p) {
+    auto attached = ShmHandle::Attach(options_.shm_segment);
+    ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+    handles.push_back(std::move(attached).value());
+  }
+  std::string errors[2];
+  std::vector<std::thread> producers;
+  for (int p = 0; p < 2; ++p) {
+    producers.emplace_back(
+        [&, p] { errors[p] = DoorbellProducer(handles[p].get(), p); });
+  }
+  for (std::thread& t : producers) t.join();
+  EXPECT_EQ(errors[0], "");
+  EXPECT_EQ(errors[1], "");
+
+  ASSERT_TRUE(PollUntil(milliseconds(2000), [&] {
+    return server_->stats().shm_frames == 2 * kDoorbellFrames;
+  })) << server_->stats().shm_frames;
+  net::GatewayStats stats = server_->stats();
+  // Parks end by a doorbell wake, not by the 20 ms timeout: a healthy
+  // run times out only while both producers are off the CPU (or after
+  // the last batch), while a producer that never rang would make nearly
+  // every park a timeout.
+  EXPECT_GE(stats.shm_parks, 1u);
+  EXPECT_LE(stats.shm_parks - stats.shm_wakeups, 2 + stats.shm_parks / 4)
+      << stats.shm_wakeups << " of " << stats.shm_parks
+      << " parks ended by a wake";
 }
 
 }  // namespace
