@@ -2,11 +2,16 @@
 
 #include "histlog/segment_store.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <optional>
 
 #include "common/codec.h"
 #include "common/crc32c.h"
@@ -34,22 +39,44 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-Status ReadWholeFile(const std::string& path, std::string* out) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  if (size < 0) {
-    std::fclose(f);
-    return Status::IOError("cannot size " + path);
+/// Read-only handle for positional reads of one segment file.
+class SegmentFile {
+ public:
+  explicit SegmentFile(const std::string& path)
+      : path_(path), fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {}
+  ~SegmentFile() {
+    if (fd_ >= 0) ::close(fd_);
   }
-  std::fseek(f, 0, SEEK_SET);
-  out->resize(static_cast<size_t>(size));
-  size_t got = size == 0 ? 0 : std::fread(out->data(), 1, out->size(), f);
-  std::fclose(f);
-  if (got != out->size()) return Status::IOError("short read of " + path);
-  return Status::OK();
-}
+  SegmentFile(const SegmentFile&) = delete;
+  SegmentFile& operator=(const SegmentFile&) = delete;
+
+  Result<uint64_t> Size() const {
+    struct stat st;
+    if (fd_ < 0 || ::fstat(fd_, &st) != 0) {
+      return Status::IOError("cannot stat " + path_);
+    }
+    return static_cast<uint64_t>(st.st_size);
+  }
+
+  /// Reads exactly bytes [begin, end) into `*out`.
+  Status Read(uint64_t begin, uint64_t end, std::string* out) const {
+    if (fd_ < 0) return Status::IOError("cannot open " + path_);
+    out->resize(end - begin);
+    size_t got = 0;
+    while (got < out->size()) {
+      ssize_t n = ::pread(fd_, out->data() + got, out->size() - got,
+                          static_cast<off_t>(begin + got));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return Status::IOError("short read of " + path_);
+      got += static_cast<size_t>(n);
+    }
+    return Status::OK();
+  }
+
+ private:
+  const std::string path_;
+  const int fd_;
+};
 
 }  // namespace
 
@@ -102,7 +129,12 @@ std::string HistorySegmentStore::EncodeRecord(const EventOccurrence& occ) {
 
 Status HistorySegmentStore::DecodeRecordBody(const std::string& body,
                                              EventOccurrence* occ) {
-  Decoder dec(body);
+  return DecodeRecordBody(body.data(), body.size(), occ);
+}
+
+Status HistorySegmentStore::DecodeRecordBody(const char* body, size_t len,
+                                             EventOccurrence* occ) {
+  Decoder dec(body, len);
   uint64_t oid = 0;
   uint8_t modifier = 0;
   SENTINEL_RETURN_IF_ERROR(dec.GetU64(&oid));
@@ -116,6 +148,41 @@ Status HistorySegmentStore::DecodeRecordBody(const std::string& body,
   SENTINEL_RETURN_IF_ERROR(dec.GetU64(&occ->timestamp.seq));
   occ->txn = nullptr;
   return Status::OK();
+}
+
+template <typename Fn>
+size_t HistorySegmentStore::WalkFrames(const char* data, size_t size,
+                                       Fn&& fn) {
+  size_t pos = 0;
+  while (size - pos >= 8) {
+    uint32_t len = 0, crc = 0;
+    std::memcpy(&len, data + pos, 4);
+    if (len == kFooterSentinel) break;  // Footer reached: done.
+    std::memcpy(&crc, data + pos + 4, 4);
+    if (size - pos - 8 < len) break;  // Torn tail.
+    const char* body = data + pos + 8;
+    // Mid-file corruption would already have failed recovery; a bad CRC
+    // is a torn tail.
+    if (Crc32c(body, len) != crc) break;
+    if (!fn(body, static_cast<size_t>(len))) break;
+    pos += 8 + len;
+  }
+  return pos;
+}
+
+void HistorySegmentStore::SegmentInfo::Index(uint64_t seq,
+                                             size_t frame_bytes) {
+  if (records % kBlockRecords == 0) {
+    Block block;
+    block.offset = bytes;
+    block.first = records;
+    blocks.push_back(block);
+  }
+  Block& block = blocks.back();
+  block.min_seq = std::min(block.min_seq, seq);
+  block.max_seq = std::max(block.max_seq, seq);
+  ++records;
+  bytes += frame_bytes;
 }
 
 std::string HistorySegmentStore::EncodeFooter(const SegmentStats& stats) {
@@ -210,9 +277,7 @@ Status HistorySegmentStore::Open() {
   // Resume appending into an unsealed tail segment; a sealed tail (or an
   // empty store) starts a fresh segment lazily at the first Append.
   active_ = nullptr;
-  active_bytes_ = 0;
-  active_stats_ = SegmentStats();
-  active_empty_ = true;
+  torn_ = false;
   if (!segments_.empty() && !segments_.back().sealed) {
     SENTINEL_RETURN_IF_ERROR(RecoverActiveLocked(&segments_.back()));
   }
@@ -221,32 +286,53 @@ Status HistorySegmentStore::Open() {
 }
 
 Status HistorySegmentStore::InspectSegment(SegmentInfo* info) const {
+  SegmentFile file(info->path);
+  SENTINEL_ASSIGN_OR_RETURN(uint64_t size, file.Size());
+  std::string tail;
+  SENTINEL_RETURN_IF_ERROR(
+      file.Read(size - std::min<uint64_t>(size, FooterSize()), size, &tail));
+  info->sealed = DecodeFooter(tail, &info->stats);
+  return Status::OK();
+}
+
+Status HistorySegmentStore::IndexLocked(SegmentInfo* info) const {
+  if (info->indexed) return Status::OK();
+  SegmentFile file(info->path);
+  SENTINEL_ASSIGN_OR_RETURN(uint64_t size, file.Size());
   std::string bytes;
-  SENTINEL_RETURN_IF_ERROR(ReadWholeFile(info->path, &bytes));
-  info->sealed = DecodeFooter(bytes, &info->stats);
+  SENTINEL_RETURN_IF_ERROR(file.Read(0, size, &bytes));
+  WalkFrames(bytes.data(), bytes.size(), [&](const char* body, size_t len) {
+    EventOccurrence occ;
+    if (!DecodeRecordBody(body, len, &occ).ok()) return false;
+    info->Index(occ.timestamp.seq, 8 + len);
+    return true;
+  });
+  metrics::Add(m_scan_bytes_, bytes.size());
+  metrics::Add(m_scan_records_, info->records);
+  info->indexed = true;
   return Status::OK();
 }
 
 Status HistorySegmentStore::RecoverActiveLocked(SegmentInfo* info) {
-  // Walk the records, rebuilding the footer stats; a torn tail (crash mid
-  // append) is truncated so the resumed segment stays well-formed.
+  // Walk the records, rebuilding the footer stats and the block index; a
+  // torn tail (crash mid append) is truncated so the resumed segment stays
+  // well-formed.
   std::string bytes;
-  SENTINEL_RETURN_IF_ERROR(ReadWholeFile(info->path, &bytes));
-  size_t pos = 0;
-  SegmentStats stats;
-  while (bytes.size() - pos >= 8) {
-    uint32_t len = 0, crc = 0;
-    std::memcpy(&len, bytes.data() + pos, 4);
-    if (len == kFooterSentinel) break;  // Shouldn't happen (unsealed).
-    std::memcpy(&crc, bytes.data() + pos + 4, 4);
-    if (bytes.size() - pos - 8 < len) break;  // Torn tail.
-    const char* body = bytes.data() + pos + 8;
-    if (Crc32c(body, len) != crc) break;  // Torn/corrupt tail record.
-    EventOccurrence occ;
-    if (!DecodeRecordBody(std::string(body, len), &occ).ok()) break;
-    stats.Observe(occ);
-    pos += 8 + len;
+  {
+    SegmentFile file(info->path);
+    SENTINEL_ASSIGN_OR_RETURN(uint64_t size, file.Size());
+    SENTINEL_RETURN_IF_ERROR(file.Read(0, size, &bytes));
   }
+  info->stats = SegmentStats();
+  const size_t pos = WalkFrames(
+      bytes.data(), bytes.size(), [&](const char* body, size_t len) {
+        EventOccurrence occ;
+        if (!DecodeRecordBody(body, len, &occ).ok()) return false;
+        info->stats.Observe(occ);
+        info->Index(occ.timestamp.seq, 8 + len);
+        return true;
+      });
+  info->indexed = true;
   if (pos < bytes.size()) {
     SENTINEL_WARN << "history segment " << info->path << " torn at " << pos
                   << " of " << bytes.size() << " bytes; truncating";
@@ -261,9 +347,6 @@ Status HistorySegmentStore::RecoverActiveLocked(SegmentInfo* info) {
   if (active_ == nullptr) {
     return Status::IOError("cannot reopen history segment " + info->path);
   }
-  active_bytes_ = pos;
-  active_stats_ = stats;
-  active_empty_ = false;
   return Status::OK();
 }
 
@@ -290,14 +373,12 @@ Status HistorySegmentStore::OpenActiveLocked() {
   info.id = next_id_++;
   info.path = SegmentPath(dir_, info.id);
   info.sealed = false;
+  info.indexed = true;
   active_ = std::fopen(info.path.c_str(), "wb");
   if (active_ == nullptr) {
     return Status::IOError("cannot create history segment " + info.path);
   }
   segments_.push_back(std::move(info));
-  active_bytes_ = 0;
-  active_stats_ = SegmentStats();
-  active_empty_ = false;
   return Status::OK();
 }
 
@@ -305,7 +386,8 @@ Status HistorySegmentStore::SealActiveLocked() {
   if (FailPoints::AnyActive()) {
     SENTINEL_RETURN_IF_ERROR(FailPoints::Instance().Check("histlog.rotate"));
   }
-  const std::string footer = EncodeFooter(active_stats_);
+  SegmentInfo& info = segments_.back();
+  const std::string footer = EncodeFooter(info.stats);
   if (std::fwrite(footer.data(), 1, footer.size(), active_) !=
       footer.size()) {
     return Status::IOError("history segment seal failed");
@@ -313,9 +395,7 @@ Status HistorySegmentStore::SealActiveLocked() {
   std::fflush(active_);
   std::fclose(active_);
   active_ = nullptr;
-  segments_.back().sealed = true;
-  segments_.back().stats = active_stats_;
-  active_empty_ = true;
+  info.sealed = true;  // The block index stays as built by Append.
   ++segments_sealed_;
   metrics::Add(m_rotations_);
   return Status::OK();
@@ -324,12 +404,16 @@ Status HistorySegmentStore::SealActiveLocked() {
 Status HistorySegmentStore::Append(const EventOccurrence& occ) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!open_) return Status::FailedPrecondition("history store not open");
+  if (torn_) {
+    return Status::IOError("history segment torn by a partial append");
+  }
   const std::string framed = EncodeRecord(occ);
-  if (!active_empty_ && active_bytes_ + framed.size() > segment_bytes_ &&
-      active_stats_.record_count > 0) {
+  if (active_ != nullptr &&
+      segments_.back().bytes + framed.size() > segment_bytes_ &&
+      segments_.back().records > 0) {
     SENTINEL_RETURN_IF_ERROR(SealActiveLocked());
   }
-  if (active_empty_) {
+  if (active_ == nullptr) {
     SENTINEL_RETURN_IF_ERROR(OpenActiveLocked());
   }
   if (FailPoints::AnyActive()) {
@@ -341,6 +425,7 @@ Status HistorySegmentStore::Append(const EventOccurrence& occ) {
         std::fwrite(framed.data(), 1, std::min(partial, framed.size()),
                     active_);
         std::fflush(active_);
+        torn_ = true;
       }
       return fp;
     }
@@ -349,8 +434,9 @@ Status HistorySegmentStore::Append(const EventOccurrence& occ) {
       framed.size()) {
     return Status::IOError("history append failed");
   }
-  active_bytes_ += framed.size();
-  active_stats_.Observe(occ);
+  SegmentInfo& info = segments_.back();
+  info.stats.Observe(occ);
+  info.Index(occ.timestamp.seq, framed.size());
   ++appended_total_;
   metrics::Add(m_appends_);
   return Status::OK();
@@ -364,76 +450,47 @@ Status HistorySegmentStore::Flush() {
 
 Status HistorySegmentStore::ScanFrom(uint64_t after_ordinal,
                                      size_t max_rows,
-                                     std::vector<EventOccurrence>* out,
+                                     std::vector<std::string>* bodies,
                                      uint64_t* next_ordinal) const {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!open_) return Status::FailedPrecondition("history store not open");
-  if (active_ != nullptr) std::fflush(active_);
   *next_ordinal = after_ordinal;
-  uint64_t ordinal = 0;  // Records walked so far, across segments.
-  for (const SegmentInfo& info : segments_) {
-    if (max_rows != 0 && out->size() >= max_rows) break;
-    if (info.sealed &&
-        ordinal + info.stats.record_count <= after_ordinal) {
-      // The whole segment is behind the cursor: footer count skips it.
-      ordinal += info.stats.record_count;
+  uint64_t room = max_rows == 0 ? UINT64_MAX : max_rows;  // Rows left.
+  uint64_t base = 0;  // Ordinal of the record before this segment's first.
+  for (SegmentInfo& info : segments_) {
+    if (room == 0) break;
+    const uint64_t count = info.stats.record_count;
+    if (base + count <= after_ordinal) {
+      base += count;  // Wholly behind the cursor.
       continue;
     }
+    SENTINEL_RETURN_IF_ERROR(IndexLocked(&info));
+    // Segment-local index of the first record to ship; records the index
+    // does not cover (a corrupt sealed segment) are never skipped over.
+    const uint64_t skip = after_ordinal > base ? after_ordinal - base : 0;
+    if (skip >= info.records) break;
+    const uint64_t want = std::min(info.records - skip, room);
+    const size_t first_block = skip / kBlockRecords;
+    const size_t last_block = (skip + want - 1) / kBlockRecords;
+    if (active_ != nullptr) std::fflush(active_);
     std::string bytes;
-    SENTINEL_RETURN_IF_ERROR(ReadWholeFile(info.path, &bytes));
-    size_t pos = 0;
-    while (bytes.size() - pos >= 8) {
-      uint32_t len = 0, crc = 0;
-      std::memcpy(&len, bytes.data() + pos, 4);
-      if (len == kFooterSentinel) break;  // Footer reached: done.
-      std::memcpy(&crc, bytes.data() + pos + 4, 4);
-      if (bytes.size() - pos - 8 < len) break;  // Torn tail.
-      const char* body = bytes.data() + pos + 8;
-      if (Crc32c(body, len) != crc) break;  // In-progress buffered append.
-      ++ordinal;
-      if (ordinal > after_ordinal) {
-        EventOccurrence occ;
-        Status s = DecodeRecordBody(std::string(body, len), &occ);
-        if (!s.ok()) return s;
-        out->push_back(std::move(occ));
-        *next_ordinal = ordinal;
-        if (max_rows != 0 && out->size() >= max_rows) return Status::OK();
-      }
-      pos += 8 + len;
+    SENTINEL_RETURN_IF_ERROR(SegmentFile(info.path).Read(
+        info.blocks[first_block].offset, info.BlockEnd(last_block), &bytes));
+    metrics::Add(m_scan_bytes_, bytes.size());
+    const uint64_t begin = info.blocks[first_block].first;
+    const uint64_t stop = skip + want;
+    uint64_t local = begin;
+    WalkFrames(bytes.data(), bytes.size(), [&](const char* body, size_t len) {
+      if (local >= skip) bodies->emplace_back(body, len);
+      return ++local < stop;
+    });
+    metrics::Add(m_scan_records_, local - begin);
+    if (local > skip) {
+      *next_ordinal = base + local;
+      room -= local - skip;
     }
-  }
-  return Status::OK();
-}
-
-Status HistorySegmentStore::ScanFileLocked(
-    const std::string& path, const HistoryQuery& query,
-    std::vector<EventOccurrence>* out, bool* stop) const {
-  std::string bytes;
-  SENTINEL_RETURN_IF_ERROR(ReadWholeFile(path, &bytes));
-  size_t pos = 0;
-  while (bytes.size() - pos >= 8) {
-    uint32_t len = 0, crc = 0;
-    std::memcpy(&len, bytes.data() + pos, 4);
-    if (len == kFooterSentinel) break;  // Footer reached: done.
-    std::memcpy(&crc, bytes.data() + pos + 4, 4);
-    if (bytes.size() - pos - 8 < len) break;  // Torn tail.
-    const char* body = bytes.data() + pos + 8;
-    if (Crc32c(body, len) != crc) {
-      // Mid-file corruption would already have failed recovery; a bad CRC
-      // here is a torn tail racing an in-progress buffered append.
-      break;
-    }
-    EventOccurrence occ;
-    Status s = DecodeRecordBody(std::string(body, len), &occ);
-    if (!s.ok()) break;
-    if (query.Matches(occ)) {
-      out->push_back(std::move(occ));
-      if (query.limit != 0 && out->size() >= query.limit) {
-        *stop = true;
-        return Status::OK();
-      }
-    }
-    pos += 8 + len;
+    if (local < count) break;  // Row cap, or an unreadable suffix.
+    base += count;
   }
   return Status::OK();
 }
@@ -443,9 +500,7 @@ Status HistorySegmentStore::Scan(const HistoryQuery& query,
   std::lock_guard<std::mutex> lock(mutex_);
   if (!open_) return Status::FailedPrecondition("history store not open");
   if (active_ != nullptr) std::fflush(active_);
-  bool stop = false;
-  for (const SegmentInfo& info : segments_) {
-    if (stop) break;
+  for (SegmentInfo& info : segments_) {
     if (info.sealed) {
       // Footer pruning: skip the whole segment when the stats prove no
       // record can match.
@@ -460,7 +515,38 @@ Status HistorySegmentStore::Scan(const HistoryQuery& query,
         continue;
       }
     }
-    SENTINEL_RETURN_IF_ERROR(ScanFileLocked(info.path, query, out, &stop));
+    SENTINEL_RETURN_IF_ERROR(IndexLocked(&info));
+    std::optional<SegmentFile> file;  // Opened at the first unpruned block.
+    for (size_t b = 0; b < info.blocks.size(); ++b) {
+      // Block pruning by seq range only: a resumed active segment may hold
+      // seqs from before a restart, so seqs are not monotone in a segment.
+      const Block& block = info.blocks[b];
+      if (block.max_seq < query.min_seq || block.max_seq <= query.after_seq ||
+          block.min_seq > query.max_seq) {
+        continue;
+      }
+      if (!file) file.emplace(info.path);
+      std::string bytes;
+      SENTINEL_RETURN_IF_ERROR(
+          file->Read(block.offset, info.BlockEnd(b), &bytes));
+      metrics::Add(m_scan_bytes_, bytes.size());
+      bool done = false;
+      uint64_t walked = 0;
+      const size_t pos = WalkFrames(
+          bytes.data(), bytes.size(), [&](const char* body, size_t len) {
+            ++walked;
+            EventOccurrence occ;
+            if (!DecodeRecordBody(body, len, &occ).ok()) return false;
+            if (query.Matches(occ)) {
+              out->push_back(std::move(occ));
+              done = query.limit != 0 && out->size() >= query.limit;
+            }
+            return !done;
+          });
+      metrics::Add(m_scan_records_, walked);
+      if (done) return Status::OK();
+      if (pos < bytes.size()) break;  // Unreadable record: rest of segment.
+    }
   }
   return Status::OK();
 }
@@ -468,12 +554,7 @@ Status HistorySegmentStore::Scan(const HistoryQuery& query,
 uint64_t HistorySegmentStore::TotalRecords() const {
   std::lock_guard<std::mutex> lock(mutex_);
   uint64_t total = 0;
-  for (const SegmentInfo& info : segments_) {
-    if (info.sealed) total += info.stats.record_count;
-  }
-  if (!segments_.empty() && !segments_.back().sealed) {
-    total += active_stats_.record_count;
-  }
+  for (const SegmentInfo& info : segments_) total += info.stats.record_count;
   return total;
 }
 
@@ -492,10 +573,13 @@ size_t HistorySegmentStore::segment_count() const {
   return segments_.size();
 }
 
-void HistorySegmentStore::SetMetrics(MetricsRegistry* registry) {
-  m_appends_ = registry->counter("histlog.appends");
-  m_rotations_ = registry->counter("histlog.rotations");
-  m_scan_skipped_ = registry->counter("histlog.scan_segments_skipped");
+void HistorySegmentStore::SetMetrics(MetricsRegistry* registry,
+                                     const std::string& prefix) {
+  m_appends_ = registry->counter(prefix + ".appends");
+  m_rotations_ = registry->counter(prefix + ".rotations");
+  m_scan_skipped_ = registry->counter(prefix + ".scan_segments_skipped");
+  m_scan_bytes_ = registry->counter(prefix + ".scan_bytes_read");
+  m_scan_records_ = registry->counter(prefix + ".scan_records_read");
 }
 
 }  // namespace sentinel

@@ -31,6 +31,17 @@
 // rotation) is scanned record-by-record, with a torn tail trimmed on the
 // next open, exactly like the WAL.
 //
+// Block index (memory only; the on-disk format above is all there is):
+// every segment carries one entry per kBlockRecords records — the block's
+// byte offset, its first record's segment-local index, and its min/max seq.
+// Append extends the active segment's index, sealing keeps it, recovery of
+// the unsealed tail builds it during its walk, and a sealed segment found at
+// Open is indexed on the first scan that touches it (one CRC-checked walk).
+// Scans then read only the blocks they need: ScanFrom starts at the block
+// holding its ordinal cursor, Scan skips blocks whose seq range cannot
+// match and stops reading once its limit is met. Every record returned is
+// still CRC-checked.
+//
 // Thread-safety: all public methods lock an internal mutex. Stores are
 // per-shard, so the hot append path (one shard thread) never contends;
 // scans briefly serialize against that shard's appends.
@@ -115,20 +126,24 @@ class HistorySegmentStore {
   /// Appends every stored occurrence matching `query` to `out`, oldest
   /// segment first (within a segment, append = logical order). Sealed
   /// segments whose footer proves no match are skipped without reading
-  /// records.
+  /// records, and so are blocks whose seq range proves it. Reading stops
+  /// once `query.limit` rows matched.
   Status Scan(const HistoryQuery& query,
               std::vector<EventOccurrence>* out) const;
 
-  /// Replication tail read: appends up to `max_rows` records strictly after
-  /// the exclusive *ordinal* cursor `after_ordinal` and sets `*next_ordinal`
-  /// to the cursor of the last row returned. An ordinal is a record's
-  /// 1-based position in this store's total append order — stable across
-  /// restarts (it is re-derived from segment record counts, not from the
-  /// logical clock), which is what lets a follower resume ship-cursors
-  /// after either side restarts. Sealed segments wholly before the cursor
-  /// are skipped via their footer record counts without reading records.
+  /// Replication tail read: appends the CRC-checked bodies (the record
+  /// frame minus [len][crc]; decode with DecodeRecordBody) of up to
+  /// `max_rows` records strictly after the exclusive *ordinal* cursor
+  /// `after_ordinal`, and sets `*next_ordinal` to the cursor of the last
+  /// row returned. An ordinal is a record's 1-based position in this
+  /// store's total append order — stable across restarts (it is re-derived
+  /// from segment record counts, not from the logical clock), which is what
+  /// lets a follower resume ship-cursors after either side restarts.
+  /// Segments wholly before the cursor are skipped by record count, reading
+  /// starts at the block holding the cursor, and a cursor at the end
+  /// returns without any file I/O.
   Status ScanFrom(uint64_t after_ordinal, size_t max_rows,
-                  std::vector<EventOccurrence>* out,
+                  std::vector<std::string>* bodies,
                   uint64_t* next_ordinal) const;
 
   /// Total records currently stored: sealed-footer counts plus the active
@@ -143,9 +158,12 @@ class HistorySegmentStore {
   /// Number of segment files currently on disk (including the active one).
   size_t segment_count() const;
 
-  /// Wires counters: histlog.appends, histlog.rotations, and the
-  /// histlog.scan_segments_skipped footer-pruning counter.
-  void SetMetrics(MetricsRegistry* registry);
+  /// Wires counters `<prefix>.appends`, `<prefix>.rotations`, the
+  /// `<prefix>.scan_segments_skipped` footer-pruning counter, and the read
+  /// volume of Scan/ScanFrom: `<prefix>.scan_bytes_read` and
+  /// `<prefix>.scan_records_read` (frames walked, CRC-checked).
+  void SetMetrics(MetricsRegistry* registry,
+                  const std::string& prefix = "histlog");
 
   /// [body_len][crc][body] framing of one occurrence (txn is not
   /// persisted). Exposed for tests and the wire layer.
@@ -153,6 +171,11 @@ class HistorySegmentStore {
   /// Decodes a record body (no frame). Corruption on malformed input.
   static Status DecodeRecordBody(const std::string& body,
                                  EventOccurrence* occ);
+  static Status DecodeRecordBody(const char* body, size_t len,
+                                 EventOccurrence* occ);
+
+  /// Records per block-index entry.
+  static constexpr uint64_t kBlockRecords = 64;
 
  private:
   /// Footer bookkeeping accumulated while a segment is active.
@@ -167,13 +190,34 @@ class HistorySegmentStore {
     void Observe(const EventOccurrence& occ);
   };
 
+  /// Block-index entry: kBlockRecords consecutive records of a segment.
+  struct Block {
+    uint64_t offset = 0;  ///< Byte offset of the block's first record.
+    uint64_t first = 0;   ///< Segment-local index of that record.
+    uint64_t min_seq = std::numeric_limits<uint64_t>::max();
+    uint64_t max_seq = 0;
+  };
+
   /// One known segment file.
   struct SegmentInfo {
     std::string path;
     uint64_t id = 0;  ///< Monotone ordinal from the file name.
     bool sealed = false;
-    /// Parsed footer (valid when sealed).
+    /// Parsed footer when sealed; running stats of the active segment.
     SegmentStats stats;
+    /// The block index covers the first `records` records (`bytes` record
+    /// bytes). False only for a segment found at Open and not yet read.
+    bool indexed = false;
+    uint64_t records = 0;
+    uint64_t bytes = 0;
+    std::vector<Block> blocks;
+
+    /// Extends the index by one record of `frame_bytes` bytes.
+    void Index(uint64_t seq, size_t frame_bytes);
+    /// One past the last byte of block `b`.
+    uint64_t BlockEnd(size_t b) const {
+      return b + 1 < blocks.size() ? blocks[b + 1].offset : bytes;
+    }
   };
 
   static constexpr size_t kBloomBytes = 128;  ///< 1024 bits, k=4.
@@ -189,15 +233,20 @@ class HistorySegmentStore {
   /// Parses a footer from the tail of `tail`; false if absent/corrupt.
   static bool DecodeFooter(const std::string& tail, SegmentStats* stats);
 
+  /// Calls `fn(body, len)` for each CRC-valid [len][crc][body] frame at
+  /// the start of `data` until `fn` returns false, the footer sentinel, or
+  /// a torn/corrupt frame; returns the offset of the frame that stopped
+  /// the walk (`size` when every byte was consumed).
+  template <typename Fn>
+  static size_t WalkFrames(const char* data, size_t size, Fn&& fn);
+
   Status OpenActiveLocked();
   Status SealActiveLocked();
-  /// Scans one segment file record-by-record. Stops cleanly at a torn
-  /// tail or the footer sentinel; `stop` is set once query.limit is hit.
-  Status ScanFileLocked(const std::string& path, const HistoryQuery& query,
-                        std::vector<EventOccurrence>* out, bool* stop) const;
   /// Reads a file's footer if sealed. Used at Open for inventory.
   Status InspectSegment(SegmentInfo* info) const;
-  /// Re-derives active-segment stats and truncates a torn tail.
+  /// Builds the block index of a segment found at Open (one walk).
+  Status IndexLocked(SegmentInfo* info) const;
+  /// Re-derives active-segment stats and index, truncates a torn tail.
   Status RecoverActiveLocked(SegmentInfo* info);
 
   const std::string dir_;
@@ -206,16 +255,20 @@ class HistorySegmentStore {
   mutable std::mutex mutex_;
   bool open_ = false;
   uint64_t next_id_ = 0;  ///< Ordinal for the next segment file.
-  std::vector<SegmentInfo> segments_;  ///< Sorted by id; last may be active.
-  FILE* active_ = nullptr;
-  size_t active_bytes_ = 0;  ///< Record bytes in the active segment.
-  SegmentStats active_stats_;
-  bool active_empty_ = true;  ///< Active segment file not yet created.
+  /// Sorted by id; the last is the active segment while `active_` is set.
+  /// Mutable: const scans index segments found at Open lazily.
+  mutable std::vector<SegmentInfo> segments_;
+  FILE* active_ = nullptr;  ///< Append handle; null until the next Append.
+  /// A torn (partial) append left bytes past the indexed records; appends
+  /// refuse until a reopen truncates them.
+  bool torn_ = false;
   uint64_t appended_total_ = 0;
   uint64_t segments_sealed_ = 0;
   Counter* m_appends_ = nullptr;
   Counter* m_rotations_ = nullptr;
   Counter* m_scan_skipped_ = nullptr;
+  Counter* m_scan_bytes_ = nullptr;
+  Counter* m_scan_records_ = nullptr;
 };
 
 }  // namespace sentinel

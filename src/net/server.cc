@@ -1008,7 +1008,7 @@ void GatewayServer::ProcessItem(size_t shard, const IngressItem& item,
                        StatusReplyMsg::FromStatus(msg.status()));
         return;
       }
-      HandleReplSubscribe(session.get(), *msg);
+      HandleReplSubscribe(session, *msg);
       return;
     }
     default:
@@ -1301,8 +1301,8 @@ void GatewayServer::HandleHistoryScan(Session* session,
   session->Reply(FrameType::kHistoryBatch, reply);
 }
 
-void GatewayServer::HandleReplSubscribe(Session* session,
-                                        const ReplSubscribeMsg& msg) {
+void GatewayServer::HandleReplSubscribe(
+    const std::shared_ptr<Session>& session, const ReplSubscribeMsg& msg) {
   if (repl_ == nullptr) {
     session->Reply(FrameType::kStatusReply,
                    StatusReplyMsg::FromStatus(Status::FailedPrecondition(
@@ -1310,7 +1310,7 @@ void GatewayServer::HandleReplSubscribe(Session* session,
     return;
   }
   ReplBatchMsg reply;
-  Status s = repl_->HandleReplSubscribe(msg, &reply);
+  Status s = repl_->HandleReplSubscribe(session, msg, &reply);
   if (!s.ok()) {
     session->Reply(FrameType::kStatusReply, StatusReplyMsg::FromStatus(s));
     return;

@@ -152,9 +152,12 @@ struct GatewayStats {
 class ReplicationHandler {
  public:
   virtual ~ReplicationHandler() = default;
-  /// Fills `*reply` for one replication poll. Must be safe to call from
-  /// any gateway worker thread.
-  virtual Status HandleReplSubscribe(const ReplSubscribeMsg& msg,
+  /// Fills `*reply` for one replication poll arriving on `session`. Must
+  /// be safe to call from any gateway worker thread. The handler may keep
+  /// per-session state; `session->closed` turns true once the gateway
+  /// reaps the connection.
+  virtual Status HandleReplSubscribe(const std::shared_ptr<Session>& session,
+                                     const ReplSubscribeMsg& msg,
                                      ReplBatchMsg* reply) = 0;
 };
 
@@ -296,7 +299,8 @@ class GatewayServer {
   void HandleHistoryScan(Session* session, const HistoryScanMsg& msg);
   /// Forwards one replication poll to the attached handler and answers
   /// with a kReplBatch (or an error StatusReply when none is attached).
-  void HandleReplSubscribe(Session* session, const ReplSubscribeMsg& msg);
+  void HandleReplSubscribe(const std::shared_ptr<Session>& session,
+                           const ReplSubscribeMsg& msg);
   /// Renders the StatsReply JSON for the requested section bits. Runs on a
   /// worker thread; counters are exact only once writers quiesce.
   std::string BuildStatsJson(uint32_t sections) const;

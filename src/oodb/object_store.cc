@@ -128,6 +128,7 @@ Status ObjectStore::Open(const std::string& dir) {
   {
     std::lock_guard<std::mutex> ck(checkpoint_mu_);
     closing_ = false;  // Reopen after a Close re-arms checkpoints.
+    SENTINEL_ASSIGN_OR_RETURN(last_stable_lsn_, wal_.BaseLsn());
   }
   open_ = true;
   return Status::OK();
@@ -398,6 +399,30 @@ std::vector<Oid> ObjectStore::AllOids() const {
   return oids;
 }
 
+std::vector<Oid> ObjectStore::OidsAfter(Oid after, size_t limit,
+                                        bool* more) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Candidates collect in a buffer of 2 * limit; each time it fills, the
+  // smallest `limit` are kept: O(n) time, O(limit) memory.
+  std::vector<Oid> oids;
+  oids.reserve(2 * limit);
+  size_t above = 0;
+  auto keep_smallest = [&] {
+    std::nth_element(oids.begin(), oids.begin() + limit, oids.end());
+    oids.resize(limit);
+  };
+  for (const auto& [oid, rids] : directory_) {
+    if (oid <= after) continue;
+    ++above;
+    oids.push_back(oid);
+    if (oids.size() == 2 * limit) keep_smallest();
+  }
+  *more = above > limit;
+  if (oids.size() > limit) keep_smallest();
+  std::sort(oids.begin(), oids.end());
+  return oids;
+}
+
 void ObjectStore::RefreshOidFloor() {
   std::lock_guard<std::mutex> lock(mutex_);
   Oid max_oid = kFirstUserOid - 1;
@@ -411,6 +436,11 @@ Status ObjectStore::Checkpoint() {
   std::lock_guard<std::mutex> ck(checkpoint_mu_);
   if (closing_) return Status::FailedPrecondition("store closing");
   return CheckpointLocked();
+}
+
+void ObjectStore::SetWalRetentionFloor(std::function<uint64_t()> floor) {
+  std::lock_guard<std::mutex> ck(checkpoint_mu_);
+  retention_floor_ = std::move(floor);
 }
 
 Status ObjectStore::CheckpointLocked() {
@@ -444,8 +474,17 @@ Status ObjectStore::CheckpointLocked() {
   SENTINEL_RETURN_IF_ERROR(group_commit_ != nullptr ? group_commit_->Sync()
                                                     : wal_.Sync());
 
-  // (5) Drop the prefix; recovery now replays only the suffix.
-  SENTINEL_RETURN_IF_ERROR(wal_.TruncateTo(stable_lsn));
+  // (5) Drop the prefix; recovery now replays only the suffix. A retention
+  // floor keeps records a reader still needs — back to the previous
+  // checkpoint's stable LSN at most. Their effects are in the heap too;
+  // redo of the longer suffix is idempotent.
+  uint64_t truncate_to = stable_lsn;
+  if (retention_floor_) {
+    truncate_to = std::max(last_stable_lsn_,
+                           std::min(stable_lsn, retention_floor_()));
+  }
+  SENTINEL_RETURN_IF_ERROR(wal_.TruncateTo(truncate_to));
+  last_stable_lsn_ = stable_lsn;
   checkpoint_generation_.fetch_add(1, std::memory_order_release);
   if (metrics_ != nullptr) {
     metrics::Add(metrics_->counter("storage.checkpoints"));

@@ -18,6 +18,7 @@
 #define SENTINEL_OODB_OBJECT_STORE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -128,6 +129,13 @@ class ObjectStore : public HeapApplier {
   /// total order is the contract.
   std::vector<Oid> AllOids() const;
 
+  /// The at most `limit` smallest committed oids above `after`, ascending:
+  /// one pass over the directory plus partial selections in O(limit)
+  /// memory, so a chunked walk (the replication snapshot) costs O(n) per
+  /// chunk, not a copy and full sort of every oid.
+  /// `*more` is set when committed oids above the last one returned remain.
+  std::vector<Oid> OidsAfter(Oid after, size_t limit, bool* more) const;
+
   // --- Maintenance ---------------------------------------------------------
 
   /// Fuzzy checkpoint: captures the stable LSN, waits out in-flight heap
@@ -141,6 +149,15 @@ class ObjectStore : public HeapApplier {
   /// it finishes, and a call that loses the race with Close returns
   /// FailedPrecondition instead of truncating a log being torn down.
   Status Checkpoint();
+
+  /// Installs the WAL retention floor (nullptr removes it). Each checkpoint
+  /// then truncates to min(stable LSN, floor()) instead of the stable LSN —
+  /// but never below the previous checkpoint's stable LSN, so a reader that
+  /// stops advancing holds back at most one checkpoint interval of log.
+  /// `floor` runs on the checkpointing thread and must return a record
+  /// boundary (or UINT64_MAX for "no reader"). The replication primary uses
+  /// this to keep the WAL a connected follower has yet to read.
+  void SetWalRetentionFloor(std::function<uint64_t()> floor);
 
   /// Completed (successful) checkpoints since open — each one truncated
   /// the WAL exactly once.
@@ -248,6 +265,10 @@ class ObjectStore : public HeapApplier {
   /// lock) fences late checkpoint callers off the teardown path.
   std::mutex checkpoint_mu_;
   bool closing_ = false;
+  /// Under checkpoint_mu_: the retention floor hook, and the stable LSN of
+  /// the last checkpoint (the log base at open) that bounds it.
+  std::function<uint64_t()> retention_floor_;
+  uint64_t last_stable_lsn_ = 0;
   std::atomic<uint64_t> checkpoint_generation_{0};
 
   mutable std::mutex mutex_;  // Guards directory_, extents_, insert path.

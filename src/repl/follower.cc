@@ -205,6 +205,7 @@ Status Follower::TailOnce(bool* progressed, bool* caught_up) {
     // truncates).
     snapshot_done_ = false;
     open_txns_.clear();
+    ++resnapshots_;
     *progressed = true;
     return Status::OK();
   }

@@ -99,6 +99,9 @@ class Follower {
   uint64_t max_replayed_seq() const { return max_seq_; }
   uint64_t primary_epoch() const { return primary_epoch_; }
   bool snapshot_done() const { return snapshot_done_; }
+  /// Times the primary answered a tail poll with wal_reset (our WAL cursor
+  /// was checkpointed away), forcing a fresh snapshot.
+  uint64_t resnapshots() const { return resnapshots_; }
   /// True when the last reply came from a node still claiming leadership.
   bool primary_claims_lead() const { return primary_claims_lead_; }
 
@@ -135,6 +138,7 @@ class Follower {
   uint64_t after_ordinal_ = 0;   ///< Mirror records replayed.
   uint64_t max_seq_ = 0;         ///< Newest replayed occurrence seq.
   uint64_t primary_epoch_ = 0;   ///< Epoch of the last reply.
+  uint64_t resnapshots_ = 0;
   bool primary_claims_lead_ = true;
 
   /// Ops of transactions whose commit record has not arrived yet.

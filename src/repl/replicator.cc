@@ -2,6 +2,8 @@
 
 #include "repl/replicator.h"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -16,7 +18,13 @@ Replicator::Replicator(Database* db, ReplicatorOptions options)
     : db_(db),
       options_(std::move(options)),
       mirror_(options_.mirror_dir, options_.mirror_segment_bytes),
-      epoch_(options_.initial_epoch) {}
+      epoch_(options_.initial_epoch) {
+  MetricsRegistry* registry = db_->metrics();
+  mirror_.SetMetrics(registry, "repl.mirror");
+  m_ship_polls_ = registry->counter("repl.ship_polls");
+  m_ship_empty_polls_ = registry->counter("repl.ship_empty_polls");
+  m_wal_resets_ = registry->counter("repl.wal_resets");
+}
 
 Replicator::~Replicator() { Stop(); }
 
@@ -32,6 +40,7 @@ Status Replicator::Start() {
   // surfaces, if persistent, as a stalled ship cursor.
   observer_ = db_->AddOccurrenceObserver(
       [this](const EventOccurrence& occ) { (void)mirror_.Append(occ); });
+  db_->store()->SetWalRetentionFloor([this] { return RetentionFloor(); });
   started_ = true;
   return Status::OK();
 }
@@ -40,12 +49,42 @@ Status Replicator::Stop() {
   std::lock_guard<std::mutex> lock(mu_);
   if (!started_) return Status::OK();
   observer_.reset();  // Next fan-out prunes the slot.
+  db_->store()->SetWalRetentionFloor(nullptr);
+  {
+    std::lock_guard<std::mutex> cursors(cursors_mu_);
+    cursors_.clear();
+  }
   started_ = false;
   return mirror_.Close();
 }
 
-Status Replicator::HandleReplSubscribe(const net::ReplSubscribeMsg& msg,
-                                       net::ReplBatchMsg* reply) {
+void Replicator::TrackCursor(const std::shared_ptr<net::Session>& session,
+                             uint64_t lsn) {
+  std::lock_guard<std::mutex> lock(cursors_mu_);
+  SessionCursor& cursor = cursors_[session->id()];
+  cursor.session = session;
+  cursor.lsn = lsn;
+}
+
+uint64_t Replicator::RetentionFloor() {
+  std::lock_guard<std::mutex> lock(cursors_mu_);
+  uint64_t floor = std::numeric_limits<uint64_t>::max();
+  for (auto it = cursors_.begin(); it != cursors_.end();) {
+    std::shared_ptr<const net::Session> session = it->second.session.lock();
+    if (session == nullptr ||
+        session->closed.load(std::memory_order_acquire)) {
+      it = cursors_.erase(it);
+      continue;
+    }
+    floor = std::min(floor, it->second.lsn);
+    ++it;
+  }
+  return floor;
+}
+
+Status Replicator::HandleReplSubscribe(
+    const std::shared_ptr<net::Session>& session,
+    const net::ReplSubscribeMsg& msg, net::ReplBatchMsg* reply) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!started_) return Status::FailedPrecondition("replicator not started");
   SENTINEL_FAILPOINT("repl.subscribe");
@@ -70,9 +109,9 @@ Status Replicator::HandleReplSubscribe(const net::ReplSubscribeMsg& msg,
     case net::ReplSubscribeMsg::kProbe:
       return Status::OK();
     case net::ReplSubscribeMsg::kSnapshot:
-      return FillSnapshot(msg, max_items, reply);
+      return FillSnapshot(session, msg, max_items, reply);
     case net::ReplSubscribeMsg::kTail:
-      return FillTail(msg, max_items, reply);
+      return FillTail(session, msg, max_items, reply);
     default:
       return Status::InvalidArgument("unknown replication mode");
   }
@@ -86,43 +125,42 @@ Status Replicator::FillProbe(net::ReplBatchMsg* reply) {
   return Status::OK();
 }
 
-Status Replicator::FillSnapshot(const net::ReplSubscribeMsg& msg,
+Status Replicator::FillSnapshot(const std::shared_ptr<net::Session>& session,
+                                const net::ReplSubscribeMsg& msg,
                                 size_t max_items, net::ReplBatchMsg* reply) {
   SENTINEL_FAILPOINT("repl.ship.snapshot");
   // Capture the WAL position *before* reading any image: a commit racing
   // this chunk either made it into the images below or sits in the WAL at
   // or past this LSN. Tailing from the first chunk's snapshot_lsn therefore
-  // replays (idempotently) everything the fuzzy walk missed.
+  // replays (idempotently) everything the fuzzy walk missed — so the first
+  // chunk's LSN is also what this session will read the WAL from.
   SENTINEL_ASSIGN_OR_RETURN(reply->snapshot_lsn,
                             db_->store()->wal()->CurrentLsn());
+  if (msg.after_oid == 0) TrackCursor(session, reply->snapshot_lsn);
 
-  const std::vector<Oid> oids = db_->store()->AllOids();
-  uint64_t cursor = msg.after_oid;
-  reply->next_oid = cursor;
-  reply->snapshot_done = 1;
+  bool more = false;
+  const std::vector<Oid> oids =
+      db_->store()->OidsAfter(msg.after_oid, max_items, &more);
+  reply->next_oid = oids.empty() ? msg.after_oid : oids.back();
+  reply->snapshot_done = more ? 0 : 1;
   for (Oid oid : oids) {
-    if (oid <= msg.after_oid) continue;
-    if (reply->objects.size() >= max_items) {
-      reply->snapshot_done = 0;  // More oids past next_oid.
-      break;
-    }
-    cursor = oid;
-    reply->next_oid = cursor;
     if (oid == kReplStateOid) continue;  // Follower-local bookkeeping.
     net::ReplBatchMsg::ObjectImage image;
     image.oid = oid;
     Status s = db_->store()->Get(nullptr, oid, &image.class_name,
                                  &image.state);
-    if (s.IsNotFound()) continue;  // Deleted since AllOids; WAL replays it.
+    if (s.IsNotFound()) continue;  // Deleted since the walk; WAL replays it.
     SENTINEL_RETURN_IF_ERROR(s);
     reply->objects.push_back(std::move(image));
   }
   return Status::OK();
 }
 
-Status Replicator::FillTail(const net::ReplSubscribeMsg& msg,
+Status Replicator::FillTail(const std::shared_ptr<net::Session>& session,
+                            const net::ReplSubscribeMsg& msg,
                             size_t max_items, net::ReplBatchMsg* reply) {
   SENTINEL_FAILPOINT("repl.ship.tail");
+  metrics::Add(m_ship_polls_);
 
   // WAL suffix.
   std::vector<WalRecord> records;
@@ -134,8 +172,16 @@ Status Replicator::FillTail(const net::ReplSubscribeMsg& msg,
     // fell too far behind to tail; it must re-snapshot.
     reply->wal_reset = 1;
     reply->next_lsn = msg.next_lsn;
+    metrics::Add(m_wal_resets_);
   } else {
     SENTINEL_RETURN_IF_ERROR(rs);
+    // The request cursor becomes this session's retention floor once it is
+    // known to be a record boundary: a CRC-valid record was read at it, or
+    // it is the log end. A checkpoint truncating mid-record would corrupt
+    // the log, so an unproven cursor keeps the session's previous one.
+    if (!records.empty() || msg.next_lsn == reply->wal_end_lsn) {
+      TrackCursor(session, msg.next_lsn);
+    }
     reply->wal.reserve(records.size());
     for (WalRecord& rec : records) {
       net::ReplBatchMsg::WalEntry entry;
@@ -148,20 +194,16 @@ Status Replicator::FillTail(const net::ReplSubscribeMsg& msg,
     reply->next_lsn = next_lsn;
   }
 
-  // Occurrence mirror suffix. Ship raw record bodies (the follower decodes
-  // with HistorySegmentStore::DecodeRecordBody), so the wire image is the
-  // same bytes the mirror holds.
-  std::vector<EventOccurrence> occs;
+  // Occurrence mirror suffix: the CRC-checked record bodies exactly as the
+  // mirror holds them (the follower decodes with
+  // HistorySegmentStore::DecodeRecordBody).
   uint64_t next_ordinal = msg.after_ordinal;
-  SENTINEL_RETURN_IF_ERROR(
-      mirror_.ScanFrom(msg.after_ordinal, max_items, &occs, &next_ordinal));
-  reply->occ_records.reserve(occs.size());
-  for (const EventOccurrence& occ : occs) {
-    // EncodeRecord frames as [u32 len][u32 crc][body]; strip the frame.
-    reply->occ_records.push_back(
-        HistorySegmentStore::EncodeRecord(occ).substr(8));
-  }
+  SENTINEL_RETURN_IF_ERROR(mirror_.ScanFrom(
+      msg.after_ordinal, max_items, &reply->occ_records, &next_ordinal));
   reply->next_ordinal = next_ordinal;
+  if (reply->wal.empty() && reply->occ_records.empty()) {
+    metrics::Add(m_ship_empty_polls_);
+  }
   return Status::OK();
 }
 

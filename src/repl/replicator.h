@@ -16,10 +16,15 @@
 //     trim/spill — and therefore its HistoryScan results — byte for byte.
 //
 // Both streams are pull-based: the follower polls kReplSubscribe and the
-// primary answers with one kReplBatch. The primary keeps no per-follower
-// state; every cursor (snapshot oid, WAL LSN, mirror ordinal) lives in the
-// request, so a follower can crash, restart, and resume from the cursors it
-// persisted inside its own apply batches.
+// primary answers with one kReplBatch. Every cursor (snapshot oid, WAL LSN,
+// mirror ordinal) lives in the request, so a follower can crash, restart,
+// and resume from the cursors it persisted inside its own apply batches.
+// The one piece of per-follower state is soft: the latest WAL cursor of
+// each live gateway session, which the primary's checkpoints use as a
+// retention floor (see ObjectStore::SetWalRetentionFloor) so a connected,
+// tailing follower is not forced into a re-snapshot. It is dropped when the
+// session closes and never holds the WAL back by more than one checkpoint.
+// Mirror rows ship as the CRC-checked record bodies the mirror holds.
 //
 // Epoch fencing: the node serves its current epoch on every reply. A
 // request carrying a *higher* epoch is the new primary (or its operator)
@@ -32,8 +37,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 
 #include "common/status.h"
 #include "core/database.h"
@@ -76,11 +83,13 @@ class Replicator : public net::ReplicationHandler {
   Replicator(const Replicator&) = delete;
   Replicator& operator=(const Replicator&) = delete;
 
-  /// Opens the occurrence mirror and hooks it to the database's occurrence
-  /// fan-out. Call before the gateway starts serving.
+  /// Opens the occurrence mirror, hooks it to the database's occurrence
+  /// fan-out, and installs the WAL retention floor. Call before the gateway
+  /// starts serving.
   Status Start();
 
-  /// Unhooks the observer and closes the mirror. Idempotent.
+  /// Unhooks the observer and the retention floor, closes the mirror.
+  /// Idempotent.
   Status Stop();
 
   /// Epoch this node currently serves (grows when a fence arrives).
@@ -91,15 +100,30 @@ class Replicator : public net::ReplicationHandler {
 
   // --- net::ReplicationHandler ----------------------------------------------
 
-  Status HandleReplSubscribe(const net::ReplSubscribeMsg& msg,
+  Status HandleReplSubscribe(const std::shared_ptr<net::Session>& session,
+                             const net::ReplSubscribeMsg& msg,
                              net::ReplBatchMsg* reply) override;
 
  private:
+  /// The WAL position one live session still has to read.
+  struct SessionCursor {
+    std::weak_ptr<const net::Session> session;
+    uint64_t lsn = 0;
+  };
+
   Status FillProbe(net::ReplBatchMsg* reply);
-  Status FillSnapshot(const net::ReplSubscribeMsg& msg, size_t max_items,
+  Status FillSnapshot(const std::shared_ptr<net::Session>& session,
+                      const net::ReplSubscribeMsg& msg, size_t max_items,
                       net::ReplBatchMsg* reply);
-  Status FillTail(const net::ReplSubscribeMsg& msg, size_t max_items,
+  Status FillTail(const std::shared_ptr<net::Session>& session,
+                  const net::ReplSubscribeMsg& msg, size_t max_items,
                   net::ReplBatchMsg* reply);
+  /// Records `lsn` (a WAL record boundary) as `session`'s cursor.
+  void TrackCursor(const std::shared_ptr<net::Session>& session,
+                   uint64_t lsn);
+  /// Lowest cursor of a live session (UINT64_MAX when none); prunes the
+  /// cursors of closed sessions. Called by the store's checkpoints.
+  uint64_t RetentionFloor();
 
   Database* db_;
   const ReplicatorOptions options_;
@@ -111,6 +135,12 @@ class Replicator : public net::ReplicationHandler {
   /// ordered even when several followers poll through different gateway
   /// worker threads.
   std::mutex mu_;
+  /// Guards `cursors_`; a leaf lock (checkpoints take it under their own).
+  std::mutex cursors_mu_;
+  std::unordered_map<uint64_t, SessionCursor> cursors_;  ///< By session id.
+  Counter* m_ship_polls_ = nullptr;
+  Counter* m_ship_empty_polls_ = nullptr;
+  Counter* m_wal_resets_ = nullptr;
 };
 
 }  // namespace repl

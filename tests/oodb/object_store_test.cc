@@ -217,6 +217,34 @@ TEST_F(ObjectStoreTest, ManyObjectsSpanPages) {
   EXPECT_EQ(state, big_state + "49");
 }
 
+TEST_F(ObjectStoreTest, OidsAfterWalksAllOidsInChunks) {
+  // Unordered puts, with gaps, so the directory's hash order is not the
+  // oid order.
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(CommitPut(kFirstUserOid + (i * 37) % 300 * 3, "C", "s").ok());
+  }
+  const std::vector<Oid> all = store_.AllOids();
+  for (size_t limit : {size_t{1}, size_t{7}, size_t{64}, size_t{299},
+                       size_t{300}, size_t{1000}}) {
+    std::vector<Oid> walked;
+    Oid after = 0;
+    bool more = true;
+    while (more) {
+      std::vector<Oid> chunk = store_.OidsAfter(after, limit, &more);
+      ASSERT_LE(chunk.size(), limit);
+      if (more) ASSERT_EQ(chunk.size(), limit);
+      if (chunk.empty()) break;
+      walked.insert(walked.end(), chunk.begin(), chunk.end());
+      after = chunk.back();
+    }
+    EXPECT_FALSE(more);
+    EXPECT_EQ(walked, all) << "limit " << limit;
+  }
+  bool more = true;
+  EXPECT_TRUE(store_.OidsAfter(all.back(), 5, &more).empty());
+  EXPECT_FALSE(more);
+}
+
 TEST_F(ObjectStoreTest, GrownRecordMovesAcrossPages) {
   Oid oid = store_.NewOid();
   ASSERT_TRUE(CommitPut(oid, "C", "small").ok());

@@ -4,17 +4,21 @@
 // snapshot, tails the primary's WAL and occurrence mirror over the gateway
 // protocol, and after promotion serves byte-identical history plus new
 // writes. Covers the read-only fence on replicas, epoch fencing of a
-// deposed primary, checkpoint-truncation fallback to re-snapshot, ship- and
+// deposed primary, WAL retention for a connected follower across
+// checkpoints, checkpoint-truncation fallback to re-snapshot, ship- and
 // promote-boundary fault injection, and cursor-durable follower restart.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/failpoint.h"
 #include "core/database.h"
 #include "net/client.h"
@@ -22,6 +26,7 @@
 #include "repl/follower.h"
 #include "repl/replicator.h"
 #include "test_util.h"
+#include "txn/wal.h"
 
 namespace sentinel {
 namespace repl {
@@ -202,6 +207,20 @@ class ReplicationTest : public ::testing::Test {
     return out;
   }
 
+  /// Waits until `node`'s gateway has reaped every connection.
+  static void WaitForNoSessions(Node* node) {
+    for (int i = 0; i < 500 && node->server->session_count() != 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ASSERT_EQ(node->server->session_count(), 0u);
+  }
+
+  static uint64_t Counter(Node* node, const std::string& name) {
+    const auto counters = node->db->metrics()->Snapshot().counters;
+    auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second;
+  }
+
   FollowerOptions FollowTo(const Node& node) {
     FollowerOptions opts;
     opts.port = node.port();
@@ -357,6 +376,9 @@ TEST_F(ReplicationTest, CheckpointTruncationForcesResnapshot) {
   StartNode(&follower_node_, "ckpt_follower", /*replica=*/true);
   Follower f(follower_node_.db.get(), FollowTo(primary_));
   CatchUp(&f);
+  // Disconnect: only a live session's cursor holds the WAL back.
+  f.Stop();
+  WaitForNoSessions(&primary_);
 
   // The primary moves on — committed object writes advance the WAL — and
   // checkpoints: the suffix the follower's cursor points into is
@@ -377,12 +399,89 @@ TEST_F(ReplicationTest, CheckpointTruncationForcesResnapshot) {
             snapshot_polls_before)
       << "expected the truncated WAL cursor to force a re-snapshot";
   FailPoints::Instance().Reset();
+  EXPECT_EQ(f.resnapshots(), 1u);
+  EXPECT_EQ(Counter(&primary_, "repl.wal_resets"), 1u);
 
   EXPECT_EQ(Objects(primary_.db.get()), Objects(follower_node_.db.get()));
   // The occurrence mirror never truncates, so history stays gapless even
   // across the object re-snapshot.
   ExpectSameHistory(History(primary_.db.get(), true),
                     History(follower_node_.db.get(), true));
+}
+
+TEST_F(ReplicationTest, ConnectedFollowerTailsAcrossCheckpoint) {
+  StartNode(&primary_, "retain_primary", /*replica=*/false);
+  RaiseThroughGateway(&primary_, 10);
+  StartNode(&follower_node_, "retain_follower", /*replica=*/true);
+  Follower f(follower_node_.db.get(), FollowTo(primary_));
+  CatchUp(&f);
+
+  // The follower stays connected while the primary writes and checkpoints:
+  // the checkpoint keeps the WAL suffix the follower has yet to read, so
+  // the next pass tails it instead of re-snapshotting.
+  RaiseThroughGateway(&primary_, 10, /*base=*/50);
+  PersistSensors(&primary_, 3, /*base=*/200);
+  ASSERT_TRUE(primary_.db->CheckpointNow().ok());
+  RaiseThroughGateway(&primary_, 5, /*base=*/80);
+  ASSERT_TRUE(FailPoints::Instance()
+                  .EnableFromSpec("repl.ship.snapshot=ioerror@hit(1000000)")
+                  .ok());
+  CatchUp(&f);
+  EXPECT_EQ(FailPoints::Instance().hits("repl.ship.snapshot"), 0u)
+      << "a connected follower's WAL cursor was checkpointed away";
+  FailPoints::Instance().Reset();
+  EXPECT_EQ(f.resnapshots(), 0u);
+  EXPECT_EQ(Counter(&primary_, "repl.wal_resets"), 0u);
+  EXPECT_GT(Counter(&primary_, "repl.ship_polls"), 0u);
+  EXPECT_GT(Counter(&primary_, "repl.mirror.scan_records_read"), 0u);
+  EXPECT_EQ(Objects(primary_.db.get()), Objects(follower_node_.db.get()));
+  ExpectSameHistory(History(primary_.db.get(), true),
+                    History(follower_node_.db.get(), true));
+
+  // A connected follower that stops polling holds the log back by one
+  // checkpoint interval at most: the second checkpoint truncates to the
+  // first one's stable LSN, past the stalled cursor.
+  PersistSensors(&primary_, 3, /*base=*/300);
+  ASSERT_TRUE(primary_.db->CheckpointNow().ok());
+  PersistSensors(&primary_, 3, /*base=*/400);
+  ASSERT_TRUE(primary_.db->CheckpointNow().ok());
+  CatchUp(&f);
+  EXPECT_EQ(f.resnapshots(), 1u);
+  EXPECT_EQ(Objects(primary_.db.get()), Objects(follower_node_.db.get()));
+}
+
+TEST_F(ReplicationTest, UnprovenTailCursorNeverBecomesTheTruncationPoint) {
+  StartNode(&primary_, "floor_primary", /*replica=*/false);
+  PersistSensors(&primary_, 3);
+  WalManager* wal = primary_.db->store()->wal();
+  auto base = wal->BaseLsn();
+  ASSERT_TRUE(base.ok());
+
+  // A hand-rolled poll whose WAL cursor points into the middle of the
+  // first record: truncating there would leave a log that starts with
+  // half a record.
+  auto conn = net::Connection::Dial("127.0.0.1", primary_.port());
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  net::ReplSubscribeMsg msg;
+  msg.mode = net::ReplSubscribeMsg::kTail;
+  msg.next_lsn = *base + 3;
+  Encoder enc;
+  msg.Encode(&enc);
+  net::Frame frame;
+  ASSERT_TRUE((*conn)->Call(net::FrameType::kReplSubscribe, enc.buffer(),
+                            &frame)
+                  .ok());
+
+  // The session stays live across the checkpoint, yet its cursor is not
+  // a proven record boundary, so the log is truncated at the stable LSN.
+  auto stable = wal->CurrentLsn();
+  ASSERT_TRUE(stable.ok());
+  ASSERT_TRUE(primary_.db->CheckpointNow().ok());
+  auto after = wal->BaseLsn();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *stable);
+  std::vector<WalRecord> records;
+  EXPECT_TRUE(wal->ReadAll(&records).ok());
 }
 
 TEST_F(ReplicationTest, ShipAndPromoteFaultsFailCleanlyAndRetry) {
